@@ -35,7 +35,7 @@ class Sizes:
     sparse_shape: tuple = (2000, 1000)
     sparse_true_rank: int = 10
     sparse_scale: float = 0.1
-    sparse_max_iter: int = 40
+    sparse_max_iter: int = 10
     # rank-sweep: the c05 sweep widened to 200 columns
     sweep_shape: tuple = (100, 200)
     sweep_true_rank: int = 3
@@ -45,7 +45,7 @@ class Sizes:
     suite_shape: tuple = (200, 50)
     suite_true_rank: int = 5
     suite_rank: int = 10
-    suite_iters: int = 100
+    suite_iters: int = 30
 
 
 FULL = Sizes()

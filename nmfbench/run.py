@@ -3,8 +3,10 @@
     python3 nmfbench/run.py --workload cli-dense --seed 1 --seconds 15 --trace 0
 
 Run from the root of a source checkout; nmfkit is imported from `src/`.
-Set-up runs several times in fresh interpreters and reports the median.
-The operation then repeats, closed loop, until `--seconds` have passed.
+Set-up runs several times in fresh interpreters, some before and some
+after the timed operations, and reports the median.
+Whole rounds of the workload's operations then repeat, closed loop, until
+`--seconds` have passed; the time metrics are medians over operations.
 With `--trace 0` the last stdout line holds the end-to-end metrics.  With
 `--trace 1` the first half of the time runs untraced and the second half
 traced; it holds the per-layer metrics and the tracing overhead, and the
@@ -26,8 +28,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 7
-MIN_OPERATIONS = 3
+# set-ups before and after the timed operations: one set-up takes well
+# under a second, so spreading them over the run averages the host's
+# speed over more of it
+SETUP_BEFORE = 5
+SETUP_AFTER = 4
+MIN_ROUNDS = 3
 
 
 def parse_args(argv=None):
@@ -44,10 +50,10 @@ def parse_args(argv=None):
     return args
 
 
-def timed_setup(workload, seed, out):
-    """Median set-up time over fresh interpreters, each writing to `out`."""
+def timed_setup(workload, seed, out, repeats):
+    """Set-up times in `repeats` fresh interpreters, each writing to `out`."""
     times = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         proc = subprocess.run(
             [sys.executable, str(HERE / "prepare.py"), "--workload", workload,
              "--seed", str(seed), "--out", str(out)],
@@ -56,28 +62,30 @@ def timed_setup(workload, seed, out):
             raise RuntimeError("set-up failed:\n" + proc.stderr[-2000:])
         last = proc.stdout.strip().splitlines()[-1]
         times.append(json.loads(last)["setup_s"])
-    return statistics.median(times)
+    return times
 
 
 def measure(wl, seconds, problems):
-    """Repeat the operation for `seconds`; per-operation wall and CPU times."""
-    walls, cpus, failed = [], [], 0
+    """Repeat whole rounds for `seconds`; per-operation wall and CPU times."""
+    walls, cpus, failed, rounds = [], [], 0, 0
     deadline = time.perf_counter() + seconds
-    while len(walls) < MIN_OPERATIONS or time.perf_counter() < deadline:
-        if wl.tracer is not None:
-            wl.tracer.op = len(walls)
-        c0 = time.process_time()
-        t0 = time.perf_counter()
-        try:
-            wl.operation()
-        except Exception as exc:  # an operation failing is counted, not fatal
-            failed += 1
-            print("operation failed: %r" % (exc,), file=sys.stderr)
-        t1 = time.perf_counter()
-        c1 = time.process_time()
-        walls.append(t1 - t0)
-        cpus.append(c1 - c0)
-        problems += wl.after()
+    while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+        for j in range(wl.ops_per_round):
+            if wl.tracer is not None:
+                wl.tracer.op = len(walls)
+            c0 = time.process_time()
+            t0 = time.perf_counter()
+            try:
+                wl.operation(j)
+            except Exception as exc:  # a failed operation is counted
+                failed += 1
+                print("operation failed: %r" % (exc,), file=sys.stderr)
+            t1 = time.perf_counter()
+            c1 = time.process_time()
+            walls.append(t1 - t0)
+            cpus.append(c1 - c0)
+            problems += wl.after(j)
+        rounds += 1
     return walls, cpus, failed
 
 
@@ -91,7 +99,8 @@ def main(argv=None):
     outdir = ROOT / ".nmfbench_out" / run_name
     shutil.rmtree(outdir, ignore_errors=True)
     inputs_dir = outdir / "inputs"
-    setup_s = timed_setup(args.workload, args.seed, inputs_dir)
+    setup_times = timed_setup(args.workload, args.seed, inputs_dir,
+                              SETUP_BEFORE)
 
     sys.path.insert(0, str(ROOT / "src"))
     import nmfkit
@@ -128,6 +137,9 @@ def main(argv=None):
         failed += traced_failed
     else:
         walls, cpus, failed = measure(wl, args.seconds, problems)
+        setup_times += timed_setup(args.workload, args.seed,
+                                   outdir / "inputs-again", SETUP_AFTER)
+        setup_s = statistics.median(setup_times)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         metrics = {
             "setup_s": {"value": setup_s, "unit": "s"},

@@ -40,8 +40,9 @@ def run_workload(name, tmp_path, tracer=None):
     wl.warm_up()
     wl.tracer = tracer
     for _ in range(2):
-        wl.operation()
-        assert wl.after() == []
+        for j in range(wl.ops_per_round):
+            wl.operation(j)
+            assert wl.after(j) == []
     return wl
 
 
@@ -110,7 +111,7 @@ def test_repeated_operation_with_other_outputs_is_rejected(tmp_path):
     wl = run_workload("cli-dense", tmp_path)
     summary = wl.out(1) / "summary.json"
     summary.write_text(summary.read_text().replace('"rank"', '"rank" '))
-    assert wl.after() == ["outputs differ between repeated operations"]
+    assert wl.after(1) == ["outputs differ between repeated operations"]
 
 
 def _rewrite_scaled(path, factor):

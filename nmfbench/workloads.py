@@ -1,9 +1,11 @@
-"""The four workloads: one operation each, plus the checks on its outputs.
+"""The four workloads: their operations, and the checks on their outputs.
 
-An operation is one whole round of the same work, so every run attempts
-the same operations whatever its length.  The runner calls `warm_up` once
-untimed, then `operation` (timed) and `after` (untimed) repeatedly, and
-`check` once at the end.  `tracer` is set while operations are traced.
+A round is `ops_per_round` operations, and a run attempts whole rounds of
+the same work whatever its length.  The runner calls `warm_up` once
+untimed, then for each operation `j` of a round `operation(j)` (timed) and
+`after(j)` (untimed), round after round, and `check` once at the end.
+Operations are kept short, so that the median over a run's operations
+rests on many samples.  `tracer` is set while operations are traced.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class OperationFailed(Exception):
 
 class Workload:
     name = ""
+    ops_per_round = 1
 
     def __init__(self, inputs, outdir, seed, sizes=FULL):
         self.inputs = list(inputs)
@@ -33,7 +36,7 @@ class Workload:
         self.seed = seed
         self.sizes = sizes
         self.tracer = None
-        self.reference = None
+        self.references = {}
 
     def cli(self, argv):
         """Run `nmfkit argv` in-process; its printed output is discarded."""
@@ -50,22 +53,19 @@ class Workload:
                                   % (argv[0], code, sink.getvalue()[-400:]))
 
     def warm_up(self):
-        self.operation()
+        self.operation(0)
 
-    def operation(self):
+    def operation(self, j):
         raise NotImplementedError
 
-    def outputs(self):
-        """What must be identical across the repeated operations."""
+    def outputs(self, j):
+        """What must be identical across the repeats of operation j."""
         raise NotImplementedError
 
-    def after(self):
-        """Untimed, after each operation: outputs equal the first ones."""
-        current = self.outputs()
-        if self.reference is None:
-            self.reference = current
-            return []
-        if current != self.reference:
+    def after(self, j):
+        """Untimed, after operation j: its outputs equal its first ones."""
+        current = self.outputs(j)
+        if self.references.setdefault(j, current) != current:
             return ["outputs differ between repeated operations"]
         return []
 
@@ -80,9 +80,14 @@ def _digests(directory, names):
 
 
 class _Factorize(Workload):
-    """`nmfkit factorize` on each input; outputs W.mtx, H.mtx, summary.json."""
+    """`nmfkit factorize` on one input per operation, each input once a
+    round; outputs W.mtx, H.mtx, summary.json."""
 
     FILES = ("W.mtx", "H.mtx", "summary.json")
+
+    @property
+    def ops_per_round(self):
+        return len(self.inputs)
 
     def flags(self):
         raise NotImplementedError
@@ -95,16 +100,11 @@ class _Factorize(Workload):
                  + ["--master-seed", str(self.seed),
                     "--output-dir", str(self.out(i))])
 
-    def warm_up(self):
-        self.run(0)
+    def operation(self, j):
+        self.run(j)
 
-    def operation(self):
-        for i in range(len(self.inputs)):
-            self.run(i)
-
-    def outputs(self):
-        return [_digests(self.out(i), self.FILES)
-                for i in range(len(self.inputs))]
+    def outputs(self, j):
+        return _digests(self.out(j), self.FILES)
 
     def check_output(self, i, rank):
         """Problems with the i-th run's files, and its summary."""
@@ -119,8 +119,8 @@ class _Factorize(Workload):
 
 
 class CliDense(_Factorize):
-    """The c09 reference run (lsnmf, rank 40, 65 iterations) on each of
-    the round's dense inputs.  The stopping rules are off: under the
+    """The c09 reference run (lsnmf, rank 40, 65 iterations), one dense
+    input per operation.  The stopping rules are off: under the
     defaults lsnmf stops anywhere from iteration 4 to 65 depending on the
     input, which would make the work per seed differ up to 16-fold."""
 
@@ -183,7 +183,7 @@ class RankSweep(Workload):
         self.consensus = {}
         self.factors = {}
 
-    def operation(self):
+    def operation(self, j):
         s = self.sizes
         self.cli(["rank-estimate", "--input", str(self.inputs[0]),
                   "--method", "nmf-kl",
@@ -209,7 +209,7 @@ class RankSweep(Workload):
             self.consensus[rank] = cons
             self.factors[rank] = [(m.W, m.H) for m in models]
 
-    def outputs(self):
+    def outputs(self, j):
         return _digests(self.outdir / "sweep", self.FILES)
 
     def check(self):
@@ -256,7 +256,7 @@ class MethodSuite(Workload):
         self.v = suite_matrix(self.sizes, self.seed)
         self.results = []
 
-    def operation(self):
+    def operation(self, j):
         import nmfkit
 
         results = []
@@ -271,7 +271,7 @@ class MethodSuite(Workload):
             results.append((method, model, trace, summary))
         self.results = results
 
-    def outputs(self):
+    def outputs(self, j):
         return [(model.W.tobytes(), model.H.tobytes())
                 for _, model, _, _ in self.results]
 
