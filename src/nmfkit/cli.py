@@ -191,8 +191,21 @@ def cmd_factorize(args) -> int:
     return 0
 
 
+def _env_threads():
+    """Thread count from NMFKIT_THREADS; None when unset or empty."""
+    text = os.environ.get("NMFKIT_THREADS", "")
+    if not text:
+        return None
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError("NMFKIT_THREADS must be a positive integer, got %r"
+                         % (text,)) from None
+
+
 def cmd_rank_estimate(args) -> int:
     start = time.perf_counter()
+    threads = args.threads if args.threads is not None else _env_threads()
     v = _read_input(args)
     ranks = _parse_ranks(args.ranks)
     base = _build_config(args, ranks[0])
@@ -200,7 +213,7 @@ def cmd_rank_estimate(args) -> int:
                             master_seed=args.master_seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = rank_sweep(v, sweep, threads=args.threads)
+        report = rank_sweep(v, sweep, threads=threads)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -273,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_positive_int, default=10,
                    help="factorization runs per rank")
     p.add_argument("--threads", type=_positive_int,
-                   default=int(os.environ.get("NMFKIT_THREADS", "0")) or None,
-                   help="worker threads (default: NMFKIT_THREADS or all cores)")
+                   help="worker threads (default: NMFKIT_THREADS, else 1)")
     p.set_defaults(func=cmd_rank_estimate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic matrix")

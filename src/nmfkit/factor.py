@@ -488,8 +488,9 @@ def factorize(v, config: FactorConfig):
     """Seed, iterate until a stopping rule fires, and package the result.
 
     Stopping: max_iter; relative objective improvement below
-    min_residual_delta; or the column-cluster assignment of H unchanged for
-    conn_change consecutive iterations (when conn_change > 0).  The Gibbs
+    min_residual_delta (not tested on a bmf iteration whose lambda differs
+    from the previous one's); or the column-cluster assignment of H
+    unchanged for conn_change consecutive iterations (when conn_change > 0).  The Gibbs
     sampler ignores the two early-stopping rules and always runs max_iter
     sweeps, since its objective trace is stochastic rather than descending.
     """
@@ -583,8 +584,11 @@ def factorize(v, config: FactorConfig):
         if config.track_factors and it % config.track_factors == 0:
             snapshots.append((it, w.copy(), h.copy()))
 
+        # across a bmf penalty step the two objectives use different lambdas
+        lam_step = (lam_of is not None and it > 1
+                    and lam_of(it) != lam_of(it - 1))
         if method != "bd":
-            if config.min_residual_delta > 0:
+            if config.min_residual_delta > 0 and not lam_step:
                 rel = (obj_prev - obj) / max(abs(obj_prev), 1e-300)
                 if rel < config.min_residual_delta:
                     break

@@ -27,7 +27,8 @@ class DataMatrix:
     instance owns its buffers; they are marked read-only after validation.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data",
+                 "_kl_terms")
 
     def __init__(self, rows, cols, indptr=None, indices=None, data=None,
                  dense_data=None):
@@ -39,6 +40,7 @@ class DataMatrix:
         self.indices = indices
         self.data = data
         self._dense_data = dense_data
+        self._kl_terms = None  # see _kl_v_terms
 
     @classmethod
     def dense(cls, values) -> "DataMatrix":
@@ -253,6 +255,36 @@ def frobenius_sq(a) -> float:
     return float(np.dot(d.ravel(), d.ravel()))
 
 
+def _kl_v_terms(v):
+    """The M-independent terms of kl_div: (flat indices of V's positive
+    entries in row-major order, those entries, sum of V).
+
+    Raises on a negative V.  A DataMatrix keeps its terms, so the many
+    objective evaluations of a run (or of every run of a rank sweep)
+    compute them once; a CSR matrix that has no dense view yet gets them
+    from its stored entries and stays sparse.
+    """
+    if isinstance(v, DataMatrix) and v._kl_terms is not None:
+        return v._kl_terms
+    if isinstance(v, DataMatrix) and v.is_sparse:
+        vals = v.data
+        rows = np.repeat(np.arange(v.rows, dtype=np.int64), np.diff(v.indptr))
+        flat = rows * v.cols + v.indices
+        total = np.sum(vals)
+    else:
+        vd = _dense_of(v)
+        vals = vd.ravel()
+        flat = None
+        total = np.sum(vd)
+    if vals.size and vals.min() < 0:
+        raise DomainError("kl_div: V must be nonnegative")
+    keep = np.flatnonzero(vals > 0)
+    terms = (keep if flat is None else flat[keep], vals[keep], total)
+    if isinstance(v, DataMatrix):
+        v._kl_terms = terms
+    return terms
+
+
 def kl_div(v, m, eps: float = 0.0) -> float:
     """Generalized Kullback-Leibler divergence sum(V ln(V/M) - V + M).
 
@@ -262,18 +294,15 @@ def kl_div(v, m, eps: float = 0.0) -> float:
     exact zeros.
     """
     _check_same_shape(v, m, "kl_div")
-    vd = _dense_of(v)
+    pos, vp, sum_v = _kl_v_terms(v)
     md = _dense_of(m)
-    if vd.size and vd.min() < 0:
-        raise DomainError("kl_div: V must be nonnegative")
-    pos = vd > 0
     if eps > 0:
         md = np.maximum(md, eps)
-    elif np.any(md[pos] <= 0):
+    mp = md.ravel()[pos]
+    if eps <= 0 and np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
-    total = float(np.sum(md) - np.sum(vd))
-    vp = vd[pos]
-    total += float(np.dot(vp, np.log(vp / md[pos])))
+    total = float(np.sum(md) - sum_v)
+    total += float(np.dot(vp, np.log(vp / mp)))
     return total
 
 

@@ -5,11 +5,14 @@ index) through the documented mixing function in matcore, so results are
 identical whether runs execute serially or on a worker pool, and across
 any thread count.  Connectivity matrices are reduced in canonical run
 order after all runs complete.
+
+Runs execute serially unless more threads are asked for: the runs are
+small and hold the interpreter lock most of the time, so a pool makes a
+sweep slower (2-3x on a 2-core host), not faster.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -48,7 +51,7 @@ class ConsensusReport:
 
 
 def default_threads() -> int:
-    return os.cpu_count() or 1
+    return 1
 
 
 def run_many(v, config: FactorConfig, runs: int, master_seed: int,

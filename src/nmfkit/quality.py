@@ -174,43 +174,36 @@ def _average_linkage_cophenetic(dist: np.ndarray) -> np.ndarray:
     """Cophenetic distances from average-linkage agglomeration of `dist`.
 
     Ties in merge distances resolve to the lexicographically smallest pair
-    of cluster indices, so the dendrogram is deterministic.
+    of cluster indices, so the dendrogram is deterministic.  Clusters are
+    numbered 0..n-1 for the samples and n, n+1, ... for merges in creation
+    order.  The active distance matrix is symmetric with +inf on its
+    diagonal and keeps its rows in id order, so its first minimum in
+    row-major order lies above the diagonal and is that smallest pair.
+    Only the upper triangle of `dist` is read.
     """
     n = dist.shape[0]
     coph = np.zeros((n, n))
-    members = {i: [i] for i in range(n)}
-    d = {}
-    ids = list(range(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d[(a, b)] = float(dist[a, b])
-    next_id = n
-    while len(ids) > 1:
-        best = None
-        best_pair = None
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                val = d[(a, b) if a < b else (b, a)]
-                if best is None or val < best:
-                    best = val
-                    best_pair = (a, b)
-        a, b = best_pair
-        ma, mb = members.pop(a), members.pop(b)
-        for i in ma:
-            for j in mb:
-                coph[i, j] = coph[j, i] = best
-        merged = ma + mb
-        ids.remove(a)
-        ids.remove(b)
-        for c in ids:
-            da = d.pop((a, c) if a < c else (c, a))
-            db = d.pop((b, c) if b < c else (c, b))
-            d[(c, next_id)] = (len(ma) * da + len(mb) * db) / len(merged)
-        d.pop((a, b) if a < b else (b, a))
-        members[next_id] = merged
-        ids.append(next_id)
-        next_id += 1
+    d = np.triu(dist, 1)
+    d = d + d.T
+    np.fill_diagonal(d, np.inf)
+    members = [[i] for i in range(n)]
+    while len(members) > 1:
+        a, b = divmod(int(np.argmin(d)), len(members))
+        best = d[a, b]
+        ma, mb = members[a], members[b]
+        coph[np.ix_(ma, mb)] = best
+        coph[np.ix_(mb, ma)] = best
+        rest = [c for c in range(len(members)) if c != a and c != b]
+        merged = ((len(ma) * d[a, rest] + len(mb) * d[b, rest])
+                  / (len(ma) + len(mb)))
+        k = len(rest)
+        nd = np.empty((k + 1, k + 1))
+        nd[:k, :k] = d[np.ix_(rest, rest)]
+        nd[k, :k] = merged
+        nd[:k, k] = merged
+        nd[k, k] = np.inf
+        d = nd
+        members = [members[c] for c in rest] + [ma + mb]
     return coph
 
 

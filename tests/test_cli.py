@@ -191,6 +191,29 @@ class TestRankEstimate:
                      "--method", "nmf-kl", "--ranks", "5..2"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_env_is_usage_error(self, tmp_path, small_matrix,
+                                            monkeypatch, capsys, value):
+        monkeypatch.setenv("NMFKIT_THREADS", value)
+        code = main(["synth", "--rows", "5", "--cols", "4", "--rank", "2",
+                     "--output", str(tmp_path / "x.mtx")])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "usage error: NMFKIT_THREADS" in capsys.readouterr().err
+
+    def test_threads_flag_overrides_env(self, tmp_path, small_matrix,
+                                        monkeypatch):
+        monkeypatch.setenv("NMFKIT_THREADS", "abc")
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
+                     "--max-iter", "10", "--threads", "2",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+
 
 class TestSynthAndConvert:
     def test_emit_truth(self, tmp_path):

@@ -384,6 +384,14 @@ class TestFactorize:
         assert model.final_objective <= 1e-20
         assert model.n_iter <= 3
 
+    def test_bmf_default_delta_survives_lambda_step(self):
+        # lambda grows 10x at iteration lambda_period + 1 = 101; the
+        # penalized objective then rises, which is not convergence
+        cfg = FactorConfig(method="bmf", rank=2, seed=SeedSpec("random"),
+                           max_iter=1000, conn_change=0, master_seed=3)
+        model, _ = factorize(np.eye(2), cfg)
+        assert model.n_iter > 101
+
     def test_unknown_method(self):
         with pytest.raises(MethodError):
             factorize(np.ones((3, 3)), FactorConfig(method="unknown", rank=1))

@@ -193,6 +193,40 @@ class TestReductions:
         assert kl_div(v, v) == 0.0
 
 
+class TestKlCachedTerms:
+    @pytest.mark.parametrize("eps", [0.0, EPS])
+    def test_datamatrix_bitwise_equals_ndarray(self, eps):
+        rng = make_rng(21)
+        v = sparsify(rng, 9, 7, 0.6)
+        dm = DataMatrix.dense(v)
+        for _ in range(10):
+            m = rng.uniform(0.01, 1.0, size=v.shape)
+            assert kl_div(dm, m, eps) == kl_div(v, m, eps)
+
+    def test_errors_raised_after_cache_filled(self):
+        v = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
+        m = np.ones((2, 2))
+        kl_div(v, m)
+        bad = np.array([[0.0, 1.0], [1.0, 1.0]])  # M = 0 where V > 0
+        with pytest.raises(DomainError):
+            kl_div(v, bad)
+        assert np.isfinite(kl_div(v, bad, eps=EPS))
+        neg = DataMatrix.dense([[1.0, -1.0], [2.0, 3.0]])
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                kl_div(neg, m)
+
+    def test_csr_stays_sparse(self):
+        rng = make_rng(22)
+        v = sparsify(rng, 8, 6, 0.3)
+        sparse = to_csr(v)
+        m = rng.uniform(0.01, 1.0, size=v.shape)
+        got = kl_div(sparse, m)
+        assert sparse.is_sparse
+        assert math.isclose(got, kl_div(v, m), rel_tol=1e-12)
+        assert kl_div(sparse, m) == got
+
+
 class TestRng:
     def test_fixed_seed_reproduces_stream(self):
         a = RngStream(1234).uniform(size=10_000)

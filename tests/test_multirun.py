@@ -112,7 +112,8 @@ class TestRankSweep:
         sweep = RankSweepConfig(ranks=[2, 3], runs_per_rank=4,
                                 base=base_config(), master_seed=11)
         r1 = rank_sweep(v, sweep, threads=1)
-        r4 = rank_sweep(v, sweep, threads=4)
-        for a, b in zip(r1.records, r4.records):
-            assert a == b
-        assert r1.recommended_rank == r4.recommended_rank
+        for other in (rank_sweep(v, sweep, threads=2),
+                      rank_sweep(v, sweep, threads=4),
+                      rank_sweep(v, sweep)):
+            assert other.records == r1.records
+            assert other.recommended_rank == r1.recommended_rank

@@ -11,7 +11,8 @@ from nmfkit.matcore import frobenius_sq
 from nmfkit.quality import (ConsensusAccumulator, connectivity, consensus,
                             cophenetic, dispersion, distance, evar,
                             feature_scores, fit_summary, rss, select_features,
-                            sparseness, sparseness_vector)
+                            sparseness, sparseness_vector,
+                            _average_linkage_cophenetic)
 
 
 def model_of(w, h):
@@ -242,6 +243,75 @@ class TestCopheneticAgainstScipy:
         z = scipy_hier.linkage(condensed, method="average")
         expected, _ = scipy_hier.cophenet(z, condensed)
         assert cophenetic(cons) == pytest.approx(float(expected), rel=1e-10)
+
+
+def reference_average_linkage_cophenetic(dist):
+    """Frozen dict-of-pairs average linkage, the oracle for the vectorized
+    version: ties go to the lexicographically smallest pair of cluster
+    ids, merged clusters are numbered n, n+1, ... in creation order."""
+    n = dist.shape[0]
+    coph = np.zeros((n, n))
+    members = {i: [i] for i in range(n)}
+    d = {}
+    ids = list(range(n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            d[(a, b)] = float(dist[a, b])
+    next_id = n
+    while len(ids) > 1:
+        best = None
+        best_pair = None
+        for ai in range(len(ids)):
+            for bi in range(ai + 1, len(ids)):
+                a, b = ids[ai], ids[bi]
+                val = d[(a, b) if a < b else (b, a)]
+                if best is None or val < best:
+                    best = val
+                    best_pair = (a, b)
+        a, b = best_pair
+        ma, mb = members.pop(a), members.pop(b)
+        for i in ma:
+            for j in mb:
+                coph[i, j] = coph[j, i] = best
+        merged = ma + mb
+        ids.remove(a)
+        ids.remove(b)
+        for c in ids:
+            da = d.pop((a, c) if a < c else (c, a))
+            db = d.pop((b, c) if b < c else (c, b))
+            d[(c, next_id)] = (len(ma) * da + len(mb) * db) / len(merged)
+        d.pop((a, b) if a < b else (b, a))
+        members[next_id] = merged
+        ids.append(next_id)
+        next_id += 1
+    return coph
+
+
+class TestLinkageAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tie_heavy_consensus(self, seed):
+        rng = make_rng(100 + seed)
+        n = int(rng.integers(3, 61))
+        acc = ConsensusAccumulator.empty(n)
+        for _ in range(int(rng.integers(1, 7))):
+            k = int(rng.integers(2, 5))
+            acc.add(connectivity(np.eye(k)[:, rng.integers(0, k, size=n)]))
+        dist = 1.0 - consensus(acc)
+        assert np.array_equal(_average_linkage_cophenetic(dist),
+                              reference_average_linkage_cophenetic(dist))
+
+    def test_all_equal_distances(self):
+        dist = np.full((7, 7), 0.5)
+        np.fill_diagonal(dist, 0.0)
+        assert np.array_equal(_average_linkage_cophenetic(dist),
+                              reference_average_linkage_cophenetic(dist))
+
+    def test_crisp_block_consensus(self):
+        labels = np.array([2, 0, 1, 0, 2, 2, 1, 0, 1])
+        dist = 1.0 - connectivity(np.eye(3)[:, labels])
+        got = _average_linkage_cophenetic(dist)
+        assert np.array_equal(got, reference_average_linkage_cophenetic(dist))
+        assert np.array_equal(got, dist)
 
 
 class TestFitSummary:
