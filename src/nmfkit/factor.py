@@ -490,9 +490,10 @@ def factorize(v, config: FactorConfig):
     Stopping: max_iter; relative objective improvement below
     min_residual_delta (not tested on a bmf iteration whose lambda differs
     from the previous one's); or the column-cluster assignment of H
-    unchanged for conn_change consecutive iterations (when conn_change > 0).  The Gibbs
-    sampler ignores the two early-stopping rules and always runs max_iter
-    sweeps, since its objective trace is stochastic rather than descending.
+    unchanged for conn_change consecutive iterations (when conn_change > 0).
+    The Gibbs sampler ignores the two early-stopping rules and always runs
+    max_iter sweeps, since its objective trace is stochastic rather than
+    descending.
     """
     v = as_matrix(v)
     v.require_model_input("V")
