@@ -1,9 +1,10 @@
 """Command-line front end: factorize, rank-estimate, synth, convert.
 
-Exit codes: 0 success, 1 runtime/pipeline error, 2 flag misuse.  Results go
-to files and standard output; diagnostics (including wall time) go to the
-error stream.  With a fixed --master-seed every command writes byte-identical
-output files across runs and thread counts.
+Exit codes: 0 success, 1 runtime/pipeline error (out of memory included),
+2 flag misuse.  Results go to files and standard output; diagnostics
+(including wall time) go to the error stream.  With a fixed --master-seed
+every command writes byte-identical output files across runs and --threads
+counts, at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -326,6 +327,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print("error (io): %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error (memory): %s" % (str(exc) or "out of memory"),
+              file=sys.stderr)
         return 1
 
 

@@ -53,3 +53,7 @@ class MetricError(NmfkitError):
 
 class DegenerateError(NmfkitError):
     kind = "degenerate"
+
+
+class OutOfMemoryError(NmfkitError):
+    kind = "memory"

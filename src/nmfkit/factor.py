@@ -35,9 +35,6 @@ METHODS = ("nmf-eu", "nmf-kl", "lsnmf", "snmf-l", "snmf-r", "nsnmf",
 BMF_LAMBDA_CAP = 1e7
 SIGMA2_FLOOR = 1e-12
 
-_NORMAL = statistics.NormalDist()
-
-
 # -- configuration and results -------------------------------------------------
 
 
@@ -353,39 +350,40 @@ def snmf_objective(v, w, h, side: str, eta: float, beta: float) -> float:
 # -- Bayesian sampler and ICM ----------------------------------------------------
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+# exact scalar erfc and normal quantile, applied elementwise
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_normal_quantile = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
 
 
-def _norm_inv_cdf(p: float) -> float:
-    p = min(max(p, 5e-324), 1.0 - 1e-16)
-    return _NORMAL.inv_cdf(p)
-
-
-def sample_rectified_normal(mu: float, var: float, rng: RngStream) -> float:
+def sample_rectified_normal(mu, var: float, rng: RngStream):
     """Draw from N(mu, var) conditioned on being nonnegative.
 
     Inverse-CDF on the truncated interval, with the tail-stable branch
-    chosen by the sign of mu.
+    chosen by the sign of mu.  mu may be a scalar (returns a float) or an
+    array (one draw per entry, in index order, from one block of uniforms).
     """
     if var <= 0:
         raise ParamError("rectified normal needs positive variance")
     sd = math.sqrt(var)
-    u = rng.random_scalar()
-    if mu >= 0:
-        lo = _norm_cdf(-mu / sd)
-        x = mu + sd * _norm_inv_cdf(lo + u * (1.0 - lo))
-    else:
-        tail = _norm_cdf(mu / sd)
-        x = mu - sd * _norm_inv_cdf((1.0 - u) * tail)
-    return max(x, 0.0)
+    mu = np.asarray(mu, dtype=np.float64)
+    u = rng.random(size=mu.shape)
+    upper = mu >= 0
+    # P(X < 0) = Phi(-mu/sd) on the upper branch, the tail Phi(mu/sd) below
+    z = np.where(upper, mu, -mu) / sd / math.sqrt(2.0)
+    cdf = 0.5 * np.asarray(_erfc(z), dtype=np.float64)
+    p = np.where(upper, cdf + u * (1.0 - cdf), (1.0 - u) * cdf)
+    q = np.asarray(_normal_quantile(np.minimum(np.maximum(p, 5e-324),
+                                            1.0 - 1e-16)), dtype=np.float64)
+    x = mu + np.where(upper, sd, -sd) * q
+    x = np.where(0.0 > x, 0.0, x)  # max(x, 0.0), NaN and -0.0 included
+    return float(x) if x.ndim == 0 else x
 
 
 def _gibbs_factor_sweep(w, gram, cross, sigma2, rate, rng, mode_only):
     """Sample (or take modes of) the columns of w against gram/cross.
 
     gram is H H' (k x k), cross is V H' (m x k); entries within a column are
-    conditionally independent and are processed in index order.
+    conditionally independent and are drawn together, in index order.
     """
     k = gram.shape[0]
     for a in range(k):
@@ -397,9 +395,7 @@ def _gibbs_factor_sweep(w, gram, cross, sigma2, rate, rng, mode_only):
         if mode_only:
             w[:, a] = np.maximum(mean, 0.0)
         else:
-            var = sigma2 / caa
-            for i in range(w.shape[0]):
-                w[i, a] = sample_rectified_normal(float(mean[i]), var, rng)
+            w[:, a] = sample_rectified_normal(mean, sigma2 / caa, rng)
     return w
 
 
@@ -489,8 +485,10 @@ def factorize(v, config: FactorConfig):
 
     Stopping: max_iter; relative objective improvement below
     min_residual_delta (not tested on a bmf iteration whose lambda differs
-    from the previous one's); or the column-cluster assignment of H
-    unchanged for conn_change consecutive iterations (when conn_change > 0).
+    from the previous one's, nor on an lsnmf/snmf iteration that left W and
+    H unchanged to tighten its subproblem tolerances); or the column-cluster
+    assignment of H unchanged for conn_change consecutive iterations (when
+    conn_change > 0).
     The Gibbs sampler ignores the two early-stopping rules and always runs
     max_iter sweeps, since its objective trace is stochastic rather than
     descending.
@@ -556,6 +554,7 @@ def factorize(v, config: FactorConfig):
     obj = obj_prev
 
     for it in range(1, config.max_iter + 1):
+        tols = (state.tol_h, state.tol_w) if state is not None else None
         if method == "nmf-eu":
             w, h = mu_eu_step(v, w, h)
         elif method == "nmf-kl":
@@ -588,8 +587,13 @@ def factorize(v, config: FactorConfig):
         # across a bmf penalty step the two objectives use different lambdas
         lam_step = (lam_of is not None and it > 1
                     and lam_of(it) != lam_of(it - 1))
+        # an lsnmf/snmf alternation whose two subproblems both met their
+        # tolerance at the start point returns W and H unchanged and only
+        # tightens the tolerances
+        idle = (tols is not None and state.tol_h < tols[0]
+                and state.tol_w < tols[1])
         if method != "bd":
-            if config.min_residual_delta > 0 and not lam_step:
+            if config.min_residual_delta > 0 and not (lam_step or idle):
                 rel = (obj_prev - obj) / max(abs(obj_prev), 1e-300)
                 if rel < config.min_residual_delta:
                     break

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ParamError, ShapeError
+from .errors import DomainError, OutOfMemoryError, ParamError, ShapeError
 
 # Machine epsilon of float64, the default stabilizer for denominators.
 EPS = float(np.finfo(np.float64).eps)
@@ -112,7 +112,13 @@ class DataMatrix:
     def dense_view(self) -> np.ndarray:
         """Read-only dense array backing or materializing this matrix."""
         if self._dense_data is None:
-            out = np.zeros((self.rows, self.cols))
+            try:
+                out = np.zeros((self.rows, self.cols))
+            except MemoryError:
+                gb = 8.0 * self.rows * self.cols / 1e9
+                raise OutOfMemoryError(
+                    "cannot allocate the dense %dx%d view of a sparse matrix "
+                    "(%.1f GB)" % (self.rows, self.cols, gb)) from None
             for i in range(self.rows):
                 s, e = self.indptr[i], self.indptr[i + 1]
                 out[i, self.indices[s:e]] = self.data[s:e]
@@ -334,8 +340,12 @@ class RngStream:
     def gamma(self, shape_param: float, scale: float = 1.0, size=None):
         return self._gen.gamma(shape_param, scale, size)
 
-    def random_scalar(self) -> float:
-        return float(self._gen.random())
+    def random(self, size=None):
+        """Uniform draws on [0, 1): a float, or an array of shape size.
+
+        An array of n draws holds the same values as n scalar calls.
+        """
+        return self._gen.random(size)
 
     def choice_without_replacement(self, n: int, count: int) -> np.ndarray:
         """Sorted sample of `count` distinct indices from range(n).

@@ -132,13 +132,19 @@ def seed_random_c(v, k, p_cols=None, dense_fraction: float = 0.2,
     return w, h
 
 
+def _norm(x) -> float:
+    """Euclidean norm by an elementwise sum (np.linalg.norm calls BLAS)."""
+    return math.sqrt(float(np.sum(x * x)))
+
+
 def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
     """Nonnegative double SVD seeding.
 
     The leading singular triplet seeds the first column/row directly; later
     triplets contribute whichever of their positive/negative part pairs
     carries more mass.  Variant "a" fills the resulting zeros with mean(V),
-    variant "ar" with uniform draws on [0, mean(V)/100).
+    variant "ar" with uniform draws on [0, mean(V)/100).  No step calls
+    BLAS, so the seeds do not depend on the BLAS thread count.
     """
     v = as_matrix(v)
     m, n = v.shape
@@ -161,8 +167,8 @@ def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
         x, y = u[:, j], vt[j, :]
         xp, xn = np.maximum(x, 0.0), np.maximum(-x, 0.0)
         yp, yn = np.maximum(y, 0.0), np.maximum(-y, 0.0)
-        mu_p = np.linalg.norm(xp) * np.linalg.norm(yp)
-        mu_n = np.linalg.norm(xn) * np.linalg.norm(yn)
+        mu_p = _norm(xp) * _norm(yp)
+        mu_n = _norm(xn) * _norm(yn)
         if mu_p >= mu_n:
             mu, xu, yu = mu_p, xp, yp
         else:
@@ -170,8 +176,8 @@ def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
         if mu <= 0 or s[j] <= 0:
             continue
         lam = np.sqrt(s[j] * mu)
-        w[:, j] = lam * xu / np.linalg.norm(xu)
-        h[j, :] = lam * yu / np.linalg.norm(yu)
+        w[:, j] = lam * xu / _norm(xu)
+        h[j, :] = lam * yu / _norm(yu)
 
     if variant in ("a", "ar"):
         avg = float(vd.mean())

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import nmfkit.cli as cli_mod
+import nmfkit.matcore as matcore_mod
 from nmfkit.cli import main
 from nmfkit.mio import read_matrix
 
@@ -70,6 +72,38 @@ class TestExitCodes:
         code, _ = run_factorize(tmp_path, small_matrix,
                                 extra=["--param", "warp=1"])
         assert code == 2
+
+    def test_dense_view_out_of_memory_exits_1(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = tmp_path / "sparse.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "13 11 3\n1 1 1.0\n7 4 2.0\n13 11 3.0\n")
+        zeros = np.zeros
+
+        def no_dense_v(shape, *args, **kwargs):
+            if tuple(np.atleast_1d(shape)) == (13, 11):
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(matcore_mod.np, "zeros", no_dense_v)
+        code = main(["factorize", "--input", str(path), "--method", "nmf-eu",
+                     "--rank", "2", "--output-dir", str(tmp_path / "out")])
+        monkeypatch.undo()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (memory): cannot allocate the dense "
+                              "13x11 view")
+        assert "Traceback" not in err
+
+    def test_bare_memory_error_exits_1(self, tmp_path, small_matrix,
+                                       monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "factorize", exhausted)
+        code, _ = run_factorize(tmp_path, small_matrix)
+        assert code == 1
+        assert capsys.readouterr().err == "error (memory): out of memory\n"
 
     def test_help_exits_zero_everywhere(self, capsys):
         for cmd in ("factorize", "rank-estimate", "synth", "convert"):

@@ -11,6 +11,7 @@ from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
                            reconstruct, sample_rectified_normal, snmf_iterate,
                            snmf_objective, _initial_subproblem_tol)
 from nmfkit.matcore import RngStream, frobenius_sq, kl_div, matmul
+from nmfkit.mio import synth
 from nmfkit.seeding import SeedSpec
 
 
@@ -391,6 +392,17 @@ class TestFactorize:
                            max_iter=1000, conn_change=0, master_seed=3)
         model, _ = factorize(np.eye(2), cfg)
         assert model.n_iter > 101
+
+    def test_lsnmf_default_delta_survives_idle_alternation(self):
+        # at iteration 7 both subproblems meet their tolerance at the start
+        # point, so W and H come back unchanged; that is not convergence
+        v, _, _ = synth(200, 50, 5, noise_sigma=0.01, seed=5)
+        cfg = FactorConfig(method="lsnmf", rank=40,
+                           seed=SeedSpec("random_vcol"), max_iter=65,
+                           master_seed=5)
+        model, _ = factorize(v, cfg)
+        assert model.n_iter == 65
+        assert model.final_objective < 0.3
 
     def test_unknown_method(self):
         with pytest.raises(MethodError):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, matmul_oracle, sparsify, to_csr
-from nmfkit.errors import DomainError, ParamError, ShapeError
+import nmfkit.matcore as matcore_mod
+from nmfkit.errors import (DomainError, NmfkitError, OutOfMemoryError,
+                           ParamError, ShapeError)
 from nmfkit.matcore import (EPS, DataMatrix, RngStream, derive_seed,
                             frobenius_sq, hadamard, kl_div, matmul,
                             safe_divide, safe_divide_product, transpose)
@@ -49,6 +51,22 @@ class TestDataMatrix:
     def test_empty_shape_rejected(self):
         with pytest.raises(ShapeError):
             DataMatrix.dense(np.zeros((0, 3)))
+
+    def test_dense_view_out_of_memory_is_typed(self, monkeypatch):
+        m = DataMatrix.csr([0, 1, 2], [1, 0], [5.0, 7.0], (2, 2))
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(matcore_mod.np, "zeros", no_memory)
+        with pytest.raises(OutOfMemoryError) as info:
+            m.dense_view()
+        monkeypatch.undo()
+        assert isinstance(info.value, NmfkitError)
+        assert info.value.kind == "memory"
+        assert "2x2" in str(info.value)
+        assert m.is_sparse  # nothing was cached
+        np.testing.assert_array_equal(m.dense_view(), [[0, 5], [7, 0]])
 
     def test_model_input_contract(self):
         DataMatrix.dense([[0.0, 1.0]]).require_model_input()
