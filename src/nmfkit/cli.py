@@ -97,7 +97,7 @@ def _scale_unit(v: DataMatrix) -> DataMatrix:
     if peak <= 0:
         return v
     if v.is_sparse:
-        return DataMatrix.csr(v.indptr, v.indices, v.data / peak, v.shape)
+        return v.with_values(v.data / peak)
     return DataMatrix.dense(v.dense_view() / peak)
 
 
@@ -163,7 +163,7 @@ def cmd_factorize(args) -> int:
     write_matrix(DataMatrix.dense(model.W), outdir / "W.mtx")
     write_matrix(DataMatrix.dense(model.H), outdir / "H.mtx")
     doc = SummaryDocument(
-        schema_version="1",
+        schema_version="2",
         method=config.method,
         rank=config.rank,
         seed_method=args.seed,
@@ -176,9 +176,6 @@ def cmd_factorize(args) -> int:
         sparseness_w=summary.sparseness_w,
         sparseness_h=summary.sparseness_h,
         warnings=[str(w.message) for w in caught],
-        # pinned to keep outputs byte-identical under a fixed master seed;
-        # the measured wall time goes to stderr below
-        timing_ms=0,
         objective_trace=trace.objective_per_iter if config.track_error else None)
     write_summary(doc, outdir / "summary.json")
     print("Rss: %.4f" % summary.rss)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (DomainError, MethodError, ParamError, RankError)
 from .matcore import (EPS, DataMatrix, RngStream, as_matrix, frobenius_sq,
-                      kl_div, matmul, safe_divide, safe_divide_product)
+                      kl_div, kl_div_product, matmul, safe_divide,
+                      safe_divide_product)
 from .seeding import SeedSpec, seed_factors
 
 METHODS = ("nmf-eu", "nmf-kl", "lsnmf", "snmf-l", "snmf-r", "nsnmf",
@@ -106,9 +107,17 @@ def objective(v, model: FactorModel, kind: str) -> float:
     """Euclidean (squared Frobenius residual) or KL objective of a model.
 
     The KL form clamps the reconstruction at machine epsilon so that exact
-    zeros in the factors keep the value finite.
+    zeros in the factors keep the value finite.  For a CSR V the KL form
+    works on V's stored entries without forming the reconstruction
+    (`kl_div_product`); it drops the clamp where V is zero, so it can read
+    below the dense value by at most EPS per zero entry of V.
     """
     v = as_matrix(v)
+    if kind == "kl" and v.is_sparse:
+        basis = model.W
+        if model.theta is not None:
+            basis = basis @ nsnmf_smoothing(model.theta, basis.shape[1])
+        return kl_div_product(v, basis, model.H, eps=EPS)
     recon = reconstruct(model)
     if kind == "euclidean":
         return float(frobenius_sq(v.dense_view() - recon))

@@ -2,10 +2,13 @@
 
 The factorization loops only ever need a handful of operations on the data
 matrix: products against dense factors, elementwise quotients on the stored
-pattern, norms and reductions.  Products (`matmul`, `safe_divide_product`)
-have genuine CSR kernels; elementwise operations and reductions fall back to
-a cached dense view, which is the right trade at the in-memory scales this
-package targets (factors are always dense anyway).
+pattern, norms and reductions.  Products (`matmul`), the quotient
+V / (W H) (`safe_divide_product`), the KL divergence against W H
+(`kl_div_product`) and the sums and norms have whole-array CSR kernels that
+never form an m x n array; a CSR matrix stays CSR when one of them is
+called.  `dense_view` still materializes (and caches) the dense array for
+the callers that want one (the Euclidean residuals and NNDSVD seeding), and
+the matrix stays CSR after it.
 
 All numeric work is in 64-bit floats.
 """
@@ -23,12 +26,13 @@ EPS = float(np.finfo(np.float64).eps)
 class DataMatrix:
     """Immutable dense or CSR matrix.
 
-    Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`.  The
-    instance owns its buffers; they are marked read-only after validation.
+    Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`, or
+    :meth:`with_values` for new values on a CSR pattern.  The instance owns
+    its buffers; they are marked read-only after validation.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data",
-                 "_kl_terms")
+                 "_kl_terms", "_pattern")
 
     def __init__(self, rows, cols, indptr=None, indices=None, data=None,
                  dense_data=None):
@@ -41,6 +45,7 @@ class DataMatrix:
         self.data = data
         self._dense_data = dense_data
         self._kl_terms = None  # see _kl_v_terms
+        self._pattern = None  # see _pattern_of
 
     @classmethod
     def dense(cls, values) -> "DataMatrix":
@@ -66,11 +71,13 @@ class DataMatrix:
             raise ParamError("csr: indices and data length mismatch")
         if indices.size and (indices.min() < 0 or indices.max() >= cols):
             raise ParamError("csr: column index out of bounds")
-        for i in range(rows):
-            row = indices[indptr[i]:indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ParamError(
-                    "csr: column indices must be strictly increasing in row %d" % i)
+        entry_rows = np.repeat(np.arange(rows), np.diff(indptr))
+        bad = np.flatnonzero((np.diff(entry_rows) == 0)
+                             & (np.diff(indices) <= 0))
+        if bad.size:
+            raise ParamError(
+                "csr: column indices must be strictly increasing in row %d"
+                % entry_rows[bad[0]])
         for buf in (indptr, indices, data):
             buf.flags.writeable = False
         return cls(rows, cols, indptr=indptr, indices=indices, data=data)
@@ -88,10 +95,23 @@ class DataMatrix:
             same = (np.diff(ri) == 0) & (np.diff(ci) == 0)
             if np.any(same):
                 raise ParamError("duplicate coordinate entry")
+        if ri.size and (ri[0] < 0 or ri[-1] >= rows):
+            raise ParamError("coordinate row index out of bounds")
         indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(indptr, ri + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(ri, minlength=rows), out=indptr[1:])
         return cls.csr(indptr, ci, vv, (rows, cols))
+
+    def with_values(self, data) -> "DataMatrix":
+        """CSR matrix with this one's pattern and the given stored values.
+
+        The result shares the index arrays and their cached pattern; `data`
+        is taken over (marked read-only) without validation.
+        """
+        out = DataMatrix(self.rows, self.cols, indptr=self.indptr,
+                         indices=self.indices, data=data)
+        out._pattern = _pattern_of(self)
+        data.flags.writeable = False
+        return out
 
     # -- basic introspection -------------------------------------------------
 
@@ -101,7 +121,9 @@ class DataMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return self._dense_data is None
+        """True for a CSR matrix, also after `dense_view` has cached the
+        dense array."""
+        return self.indptr is not None
 
     @property
     def nnz(self) -> int:
@@ -119,9 +141,7 @@ class DataMatrix:
                 raise OutOfMemoryError(
                     "cannot allocate the dense %dx%d view of a sparse matrix "
                     "(%.1f GB)" % (self.rows, self.cols, gb)) from None
-            for i in range(self.rows):
-                s, e = self.indptr[i], self.indptr[i + 1]
-                out[i, self.indices[s:e]] = self.data[s:e]
+            out[_pattern_of(self).rows, self.indices] = self.data
             out.flags.writeable = False
             # caching is safe: the instance is immutable
             self._dense_data = out
@@ -160,55 +180,72 @@ def _shape_of(x):
     return x.shape if isinstance(x, DataMatrix) else np.asarray(x).shape
 
 
+def _is_csr(x) -> bool:
+    return isinstance(x, DataMatrix) and x.is_sparse
+
+
+class _Pattern:
+    """Index arrays of a CSR pattern, computed once per pattern.
+
+    rows        row of each stored entry
+    row_ids     the nonempty rows; row_starts their first entry
+    by_col      stored entries in column order (stable, so rows ascend)
+    col_rows    rows[by_col]
+    col_ids     the nonempty columns; col_starts their first entry in by_col
+    """
+
+    __slots__ = ("rows", "row_ids", "row_starts", "by_col", "col_rows",
+                 "col_ids", "col_starts")
+
+    def __init__(self, a: DataMatrix):
+        counts = np.diff(a.indptr)
+        self.rows = np.repeat(np.arange(a.rows, dtype=np.int64), counts)
+        self.row_ids = np.flatnonzero(counts)
+        self.row_starts = a.indptr[self.row_ids]
+        self.by_col = np.argsort(a.indices, kind="stable")
+        self.col_rows = self.rows[self.by_col]
+        col_counts = np.bincount(a.indices, minlength=a.cols)
+        self.col_ids = np.flatnonzero(col_counts)
+        self.col_starts = (np.cumsum(col_counts) - col_counts)[self.col_ids]
+
+
+def _pattern_of(a: DataMatrix) -> _Pattern:
+    # threads sharing V may both build it; the results are equal
+    if a._pattern is None:
+        a._pattern = _Pattern(a)
+    return a._pattern
+
+
 # -- products ----------------------------------------------------------------
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with dense result; either operand may be CSR."""
+    """Matrix product with dense result; either operand may be CSR.
+
+    A CSR operand is read through its stored entries only: an output entry
+    sums over the stored entries of one row of A (CSR @ dense) or of one
+    column of B (dense @ CSR), in index order.
+    """
     (m, p1), (p2, n) = _shape_of(a), _shape_of(b)
     if p1 != p2:
         raise ShapeError("matmul: inner dimensions %d and %d differ" % (p1, p2))
-    a_sparse = isinstance(a, DataMatrix) and a.is_sparse
-    b_sparse = isinstance(b, DataMatrix) and b.is_sparse
-    if a_sparse and b_sparse:
-        b = b.dense_view()
-        b_sparse = False
-    if a_sparse:
-        bd = _dense_of(b)
-        out = np.empty((m, n))
-        for i in range(m):
-            s, e = a.indptr[i], a.indptr[i + 1]
-            out[i, :] = a.data[s:e] @ bd[a.indices[s:e], :]
-        return out
-    if b_sparse:
-        ad = _dense_of(a)
+    if _is_csr(a):
+        # rows of A . B, formed as the columns of the n x m product B' A'
+        pat = _pattern_of(a)
+        out = np.zeros((n, m))
+        if a.data.size:
+            terms = _dense_of(b).T.take(a.indices, axis=1) * a.data
+            out[:, pat.row_ids] = np.add.reduceat(terms, pat.row_starts,
+                                                  axis=1)
+        return np.ascontiguousarray(out.T)
+    if _is_csr(b):
+        pat = _pattern_of(b)
         out = np.zeros((m, n))
-        for i in range(p2):
-            s, e = b.indptr[i], b.indptr[i + 1]
-            if e > s:
-                out[:, b.indices[s:e]] += ad[:, i, None] * b.data[s:e]
+        if b.data.size:
+            terms = _dense_of(a).take(pat.col_rows, axis=1) * b.data[pat.by_col]
+            out[:, pat.col_ids] = np.add.reduceat(terms, pat.col_starts,
+                                                  axis=1)
         return out
     return _dense_of(a) @ _dense_of(b)
-
-
-def transpose(a):
-    """Transpose; CSR stays CSR, dense stays dense."""
-    if isinstance(a, DataMatrix) and a.is_sparse:
-        m, n = a.shape
-        counts = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(counts, a.indices + 1, 1)
-        indptr = np.cumsum(counts)
-        indices = np.empty(a.nnz, dtype=np.int64)
-        data = np.empty(a.nnz)
-        cursor = indptr[:-1].copy()
-        for i in range(m):
-            for k in range(a.indptr[i], a.indptr[i + 1]):
-                j = a.indices[k]
-                pos = cursor[j]
-                indices[pos] = i
-                data[pos] = a.data[k]
-                cursor[j] += 1
-        return DataMatrix.csr(indptr, indices, data, (n, m))
-    return _dense_of(a).T.copy()
 
 
 # -- elementwise -------------------------------------------------------------
@@ -219,15 +256,20 @@ def _check_same_shape(a, b, op):
                          % (op, _shape_of(a), _shape_of(b)))
 
 
-def hadamard(a, b) -> np.ndarray:
-    _check_same_shape(a, b, "hadamard")
-    return _dense_of(a) * _dense_of(b)
-
-
 def safe_divide(a, b, eps: float = EPS) -> np.ndarray:
     """Elementwise a / (b + eps); eps keeps every denominator nonzero."""
     _check_same_shape(a, b, "safe_divide")
     return _dense_of(a) / (_dense_of(b) + eps)
+
+
+def _check_factors(v, w, h, op):
+    if w.shape[0] != v.rows or h.shape[1] != v.cols or w.shape[1] != h.shape[0]:
+        raise ShapeError("%s: factor shapes do not conform" % op)
+
+
+def _product_at(w, h, rows, cols) -> np.ndarray:
+    """The entries (rows[t], cols[t]) of W @ H."""
+    return np.einsum("ij,ji->i", w.take(rows, axis=0), h.take(cols, axis=1))
 
 
 def safe_divide_product(v, w, h, eps: float = EPS):
@@ -235,19 +277,12 @@ def safe_divide_product(v, w, h, eps: float = EPS):
 
     For CSR input the quotient is only evaluated on the stored pattern
     (zero entries stay zero, exactly as in the dense formula) and the
-    result is CSR with V's pattern.
+    result is CSR with V's pattern, which shares V's cached index arrays.
     """
-    if isinstance(v, DataMatrix) and v.is_sparse:
-        m = v.rows
-        if w.shape[0] != m or h.shape[1] != v.cols or w.shape[1] != h.shape[0]:
-            raise ShapeError("safe_divide_product: factor shapes do not conform")
-        data = np.empty_like(v.data)
-        for i in range(m):
-            s, e = v.indptr[i], v.indptr[i + 1]
-            if e > s:
-                prod = w[i, :] @ h[:, v.indices[s:e]]
-                data[s:e] = v.data[s:e] / (prod + eps)
-        return DataMatrix.csr(v.indptr, v.indices, data, v.shape)
+    if _is_csr(v):
+        _check_factors(v, w, h, "safe_divide_product")
+        prod = _product_at(w, h, _pattern_of(v).rows, v.indices)
+        return v.with_values(v.data / (prod + eps))
     return safe_divide(v, matmul(w, h), eps)
 
 
@@ -255,7 +290,7 @@ def safe_divide_product(v, w, h, eps: float = EPS):
 
 def frobenius_sq(a) -> float:
     """Sum of squared entries."""
-    if isinstance(a, DataMatrix) and a.is_sparse:
+    if _is_csr(a):
         return float(np.dot(a.data, a.data))
     d = _dense_of(a)
     return float(np.dot(d.ravel(), d.ravel()))
@@ -267,15 +302,13 @@ def _kl_v_terms(v):
 
     Raises on a negative V.  A DataMatrix keeps its terms, so the many
     objective evaluations of a run (or of every run of a rank sweep)
-    compute them once; a CSR matrix that has no dense view yet gets them
-    from its stored entries and stays sparse.
+    compute them once; a CSR matrix gets them from its stored entries.
     """
     if isinstance(v, DataMatrix) and v._kl_terms is not None:
         return v._kl_terms
-    if isinstance(v, DataMatrix) and v.is_sparse:
+    if _is_csr(v):
         vals = v.data
-        rows = np.repeat(np.arange(v.rows, dtype=np.int64), np.diff(v.indptr))
-        flat = rows * v.cols + v.indices
+        flat = _pattern_of(v).rows * v.cols + v.indices
         total = np.sum(vals)
     else:
         vd = _dense_of(v)
@@ -308,6 +341,31 @@ def kl_div(v, m, eps: float = 0.0) -> float:
     if eps <= 0 and np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
     total = float(np.sum(md) - sum_v)
+    total += float(np.dot(vp, np.log(vp / mp)))
+    return total
+
+
+def kl_div_product(v, w, h, eps: float = 0.0) -> float:
+    """kl_div(V, W @ H) without forming W @ H for a CSR V.
+
+    The sum of M is (W 1)'(H 1), and M itself is evaluated only where V is
+    positive.  With ``eps`` > 0 the clamp max(M, eps) is applied there but
+    not on the entries where V is zero, so the value can fall short of
+    kl_div(V, W @ H, eps) by at most eps per zero entry of V: eps (mn - nnz)
+    when V stores no explicit zeros.  A dense V goes through kl_div.
+    """
+    if not _is_csr(v):
+        return kl_div(v, matmul(w, h), eps)
+    _check_factors(v, w, h, "kl_div_product")
+    pos, vp, sum_v = _kl_v_terms(v)
+    mp = _product_at(w, h, *np.divmod(pos, v.cols))
+    total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
+    if eps > 0:
+        clamped = np.maximum(mp, eps)
+        total += float(np.sum(clamped - mp))
+        mp = clamped
+    elif np.any(mp <= 0):
+        raise DomainError("kl_div: M must be positive wherever V is positive")
     total += float(np.dot(vp, np.log(vp / mp)))
     return total
 

@@ -38,7 +38,6 @@ class SummaryDocument:
     sparseness_w: float
     sparseness_h: float
     warnings: list
-    timing_ms: int
     objective_trace: list | None = None
 
 

@@ -43,10 +43,14 @@ def rss(v, model: FactorModel) -> float:
 def evar(v, model: FactorModel) -> float:
     """Explained variance 1 - rss / sum(V^2)."""
     v = as_matrix(v)
+    return _evar_of_rss(v, rss(v, model))
+
+
+def _evar_of_rss(v, r: float) -> float:
     total = frobenius_sq(v)
     if total == 0.0:
         raise DegenerateError("evar undefined for an all-zero matrix")
-    return 1.0 - rss(v, model) / total
+    return 1.0 - r / total
 
 
 def distance(v, model: FactorModel, metric: str) -> float:
@@ -237,7 +241,7 @@ def fit_summary(v, model: FactorModel, sparseness_axis: str = "columns") -> FitS
     sp_w, sp_h = sparseness(model, axis=sparseness_axis)
     return FitSummary(
         rss=r,
-        evar=evar(v, model),
+        evar=_evar_of_rss(v, r),
         dist_euclidean=math.sqrt(r),
         dist_kl=distance(v, model, "kl"),
         sparseness_w=sp_w,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._svd import jacobi_svd
 from .errors import ParamError, RankError, SeedError
-from .matcore import RngStream, as_matrix
+from .matcore import RngStream, as_matrix, matmul
 
 # Stable identifiers accepted by the CLI and by SeedSpec.from_name.
 SEED_METHOD_NAMES = ("random", "fixed", "random_c", "random_vcol",
@@ -72,6 +72,23 @@ def seed_random(m, n, k, rng: RngStream, scale: float = 1.0):
     return w, h
 
 
+def _centroids(v, picks, axis):
+    """Means of V's columns (axis 1) or rows (axis 0) over each index set
+    in `picks`, as the columns of an m x k (or rows of a k x n) array.
+
+    A CSR V is multiplied by a 0/(1/p) selection matrix and stays CSR.
+    """
+    if v.is_sparse:
+        sel = np.zeros((v.shape[axis], len(picks)))
+        for j, idx in enumerate(picks):
+            sel[idx, j] = 1.0 / idx.size
+        return matmul(v, sel) if axis == 1 else matmul(sel.T, v)
+    vd = v.dense_view()
+    if axis == 1:
+        return np.stack([vd[:, idx].mean(axis=1) for idx in picks], axis=1)
+    return np.stack([vd[idx, :].mean(axis=0) for idx in picks])
+
+
 def seed_random_vcol(v, k, p_cols=None, p_rows=None, rng: RngStream = None):
     """Columns of W are means of sampled columns of V, rows of H of rows.
 
@@ -89,16 +106,9 @@ def seed_random_vcol(v, k, p_cols=None, p_rows=None, rng: RngStream = None):
         raise ParamError("p_cols %d out of range [1, %d]" % (p_cols, n))
     if not 1 <= p_rows <= m:
         raise ParamError("p_rows %d out of range [1, %d]" % (p_rows, m))
-    vd = v.dense_view()
-    w = np.empty((m, k))
-    for j in range(k):
-        cols = rng.choice_without_replacement(n, p_cols)
-        w[:, j] = vd[:, cols].mean(axis=1)
-    h = np.empty((k, n))
-    for i in range(k):
-        rows = rng.choice_without_replacement(m, p_rows)
-        h[i, :] = vd[rows, :].mean(axis=0)
-    return w, h
+    col_picks = [rng.choice_without_replacement(n, p_cols) for _ in range(k)]
+    row_picks = [rng.choice_without_replacement(m, p_rows) for _ in range(k)]
+    return _centroids(v, col_picks, axis=1), _centroids(v, row_picks, axis=0)
 
 
 def seed_random_c(v, k, p_cols=None, dense_fraction: float = 0.2,
@@ -120,14 +130,17 @@ def seed_random_c(v, k, p_cols=None, dense_fraction: float = 0.2,
     if not 1 <= p_cols <= pool_size:
         raise ParamError("p_cols %d exceeds dense pool of %d columns"
                          % (p_cols, pool_size))
-    vd = v.dense_view()
-    norms = np.sqrt(np.sum(vd * vd, axis=0))
+    if v.is_sparse:
+        norms = np.sqrt(np.bincount(v.indices, weights=v.data * v.data,
+                                    minlength=n))
+    else:
+        vd = v.dense_view()
+        norms = np.sqrt(np.sum(vd * vd, axis=0))
     # stable sort on -norms: ties resolve to the lowest column index
     pool = np.sort(np.argsort(-norms, kind="stable")[:pool_size])
-    w = np.empty((m, k))
-    for j in range(k):
-        picks = rng.choice_without_replacement(pool_size, p_cols)
-        w[:, j] = vd[:, pool[picks]].mean(axis=1)
+    picks = [pool[rng.choice_without_replacement(pool_size, p_cols)]
+             for _ in range(k)]
+    w = _centroids(v, picks, axis=1)
     h = rng.uniform(size=(k, n))
     return w, h
 

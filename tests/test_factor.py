@@ -492,6 +492,29 @@ class TestFactorize:
             np.testing.assert_allclose(ms.W, md.W, atol=1e-9)
             np.testing.assert_allclose(ms.H, md.H, atol=1e-9)
 
+    @pytest.mark.parametrize("method", ["nmf-kl", "nsnmf"])
+    @pytest.mark.parametrize("seeding", ["random", "random_vcol", "random_c"])
+    def test_kl_methods_keep_csr_sparse(self, method, seeding):
+        rng = make_rng(28)
+        dense = random_nonneg(rng, 30, 20)
+        dense[dense < 0.7] = 0.0
+        dense[4, :] = 0.0
+        dense[:, 6] = 0.0
+        sparse = to_csr(dense)
+        cfg = FactorConfig(method=method, rank=3, seed=SeedSpec(seeding),
+                           max_iter=15, min_residual_delta=0.0,
+                           conn_change=0, track_error=True, master_seed=6)
+        ms, trace = factorize(sparse, cfg)
+        objective(sparse, ms, "kl")
+        assert sparse._dense_data is None
+        md, dense_trace = factorize(dense, cfg)
+        np.testing.assert_allclose(ms.W, md.W, atol=1e-9)
+        np.testing.assert_allclose(ms.H, md.H, atol=1e-9)
+        # the pattern objective drops the clamp off V's pattern only
+        np.testing.assert_allclose(trace.objective_per_iter,
+                                   dense_trace.objective_per_iter,
+                                   rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("method", ["nmf-eu", "nmf-kl", "lsnmf",
                                         "snmf-r", "nsnmf", "bmf", "icm"])
     def test_every_iterate_nonnegative_and_finite(self, method):

@@ -12,8 +12,8 @@ import nmfkit.matcore as matcore_mod
 from nmfkit.errors import (DomainError, NmfkitError, OutOfMemoryError,
                            ParamError, ShapeError)
 from nmfkit.matcore import (EPS, DataMatrix, RngStream, derive_seed,
-                            frobenius_sq, hadamard, kl_div, matmul,
-                            safe_divide, safe_divide_product, transpose)
+                            frobenius_sq, kl_div, kl_div_product, matmul,
+                            safe_divide, safe_divide_product)
 
 
 class TestDataMatrix:
@@ -68,6 +68,37 @@ class TestDataMatrix:
         assert m.is_sparse  # nothing was cached
         np.testing.assert_array_equal(m.dense_view(), [[0, 5], [7, 0]])
 
+    def test_csr_stays_sparse_after_dense_view(self):
+        m = DataMatrix.csr([0, 1, 2], [1, 0], [5.0, 7.0], (2, 2))
+        m.dense_view()
+        assert m.is_sparse
+        assert m.nnz == 2
+        assert repr(m) == "DataMatrix(2x2, csr)"
+
+    def test_csr_order_error_names_the_row(self):
+        # row 0 empty, row 1 valid, row 2 out of order; a row boundary
+        # between a high and a low column index is not a violation
+        with pytest.raises(ParamError, match="row 2"):
+            DataMatrix.csr([0, 0, 2, 4], [1, 3, 2, 0], [1.0] * 4, (3, 4))
+        ok = DataMatrix.csr([0, 0, 2, 4], [1, 3, 0, 2], [1.0] * 4, (3, 4))
+        assert ok.nnz == 4
+
+    def test_from_coo_matches_oracle(self):
+        rng = make_rng(5)
+        dense = sparsify(rng, 7, 5, 0.3)
+        dense[2, :] = 0.0
+        dense[:, 4] = 0.0
+        r, c = np.nonzero(dense)
+        order = rng.permutation(r.size)
+        built = DataMatrix.from_coo(r[order], c[order], dense[r, c][order],
+                                    dense.shape)
+        oracle = to_csr(dense)
+        np.testing.assert_array_equal(built.indptr, oracle.indptr)
+        np.testing.assert_array_equal(built.indices, oracle.indices)
+        np.testing.assert_array_equal(built.data, oracle.data)
+        with pytest.raises(ParamError):
+            DataMatrix.from_coo([0, 2], [0, 0], [1.0, 1.0], (2, 2))
+
     def test_model_input_contract(self):
         DataMatrix.dense([[0.0, 1.0]]).require_model_input()
         with pytest.raises(DomainError):
@@ -120,24 +151,82 @@ class TestMatmul:
         np.testing.assert_allclose(matmul(to_csr(a), to_csr(b)), a @ b,
                                    rtol=1e-12)
 
-    def test_transpose_csr(self):
+
+def csr_cases():
+    """(name, dense) pairs that stress the CSR kernels' edge cases."""
+    rng = make_rng(31)
+    gaps = sparsify(rng, 9, 8, 0.35)
+    gaps[[0, 4, 8], :] = 0.0  # empty first, middle and last rows
+    gaps[:, [0, 3, 7]] = 0.0  # empty first, middle and last columns
+    gaps[1, 1] = 0.5
+    return [("gaps", gaps),
+            ("row", sparsify(rng, 1, 7, 0.5)),
+            ("column", sparsify(rng, 6, 1, 0.5)),
+            ("zeros", np.zeros((5, 4))),
+            ("full", rng.uniform(0.1, 1.0, size=(4, 6)))]
+
+
+@pytest.mark.parametrize("name,dense", csr_cases())
+class TestCsrKernels:
+    def test_dense_view(self, name, dense):
+        np.testing.assert_array_equal(to_csr(dense).dense_view(), dense)
+
+    def test_csr_times_dense(self, name, dense):
+        b = make_rng(1).uniform(size=(dense.shape[1], 3))
+        np.testing.assert_allclose(matmul(to_csr(dense), b), dense @ b,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_dense_times_csr(self, name, dense):
+        a = make_rng(2).uniform(size=(3, dense.shape[0]))
+        np.testing.assert_allclose(matmul(a, to_csr(dense)), a @ dense,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_quotient(self, name, dense):
+        rng = make_rng(3)
+        w = rng.uniform(size=(dense.shape[0], 2))
+        h = rng.uniform(size=(2, dense.shape[1]))
+        v = to_csr(dense)
+        q = safe_divide_product(v, w, h)
+        assert q.is_sparse and q.indices is v.indices
+        np.testing.assert_allclose(q.dense_view(), dense / (w @ h + EPS),
+                                   rtol=1e-12, atol=1e-12)
+        # the quotient feeds both products of a KL step
+        np.testing.assert_allclose(matmul(w.T, q), w.T @ q.dense_view(),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(matmul(q, h.T), q.dense_view() @ h.T,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_kernels_leave_no_dense_array(self, name, dense):
         rng = make_rng(4)
-        a = sparsify(rng, 5, 4, 0.4)
-        t = transpose(to_csr(a))
-        assert t.is_sparse
-        np.testing.assert_array_equal(t.to_dense(), a.T)
+        w = rng.uniform(size=(dense.shape[0], 2))
+        h = rng.uniform(size=(2, dense.shape[1]))
+        v = to_csr(dense)
+        q = safe_divide_product(v, w, h)
+        matmul(v, h.T), matmul(w.T, v), matmul(q, h.T), matmul(w.T, q)
+        kl_div_product(v, w, h, EPS)
+        kl_div(v, w @ h, EPS)
+        frobenius_sq(v)
+        assert v._dense_data is None and q._dense_data is None
+
+    def test_pattern_kl_within_eps_of_dense(self, name, dense):
+        rng = make_rng(5)
+        w = rng.uniform(size=(dense.shape[0], 2))
+        h = rng.uniform(size=(2, dense.shape[1]))
+        w[0, :] = 0.0  # a zero row of W H, where the clamp acts
+        m, n = dense.shape
+        for eps in (EPS, 1e-3):
+            got = kl_div_product(to_csr(dense), w, h, eps)
+            want = kl_div(dense, w @ h, eps)
+            assert abs(got - want) <= eps * m * n + 1e-12 * abs(want)
+        if dense[0].any():
+            with pytest.raises(DomainError):
+                kl_div_product(to_csr(dense), w, h)
+        else:
+            assert math.isclose(kl_div_product(to_csr(dense), w, h),
+                                kl_div(dense, w @ h), rel_tol=1e-12)
 
 
 class TestElementwise:
-    def test_hadamard_identity(self):
-        rng = make_rng(0)
-        a = rng.uniform(size=(3, 4))
-        np.testing.assert_array_equal(hadamard(a, np.ones((3, 4))), a)
-
-    def test_hadamard_shape(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
     def test_safe_divide_zero_denominator(self):
         out = safe_divide(np.array([[1.0]]), np.array([[0.0]]))
         assert np.isfinite(out[0, 0])

@@ -162,11 +162,11 @@ class TestRoundtrips:
 
 class TestSummary:
     def doc(self, **overrides):
-        base = dict(schema_version="1", method="lsnmf", rank=3,
+        base = dict(schema_version="2", method="lsnmf", rank=3,
                     seed_method="random_vcol", n_iter=10, max_iter=20,
                     rss=1.0, evar=0.9, dist_euclidean=1.0, dist_kl=2.0,
                     sparseness_w=0.5, sparseness_h=0.6, warnings=[],
-                    timing_ms=0, objective_trace=None)
+                    objective_trace=None)
         base.update(overrides)
         return SummaryDocument(**base)
 
@@ -174,12 +174,11 @@ class TestSummary:
         path = tmp_path / "summary.json"
         write_summary(self.doc(), path)
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == "2"
         required = {"schema_version", "method", "rank", "seed_method",
                     "n_iter", "max_iter", "rss", "evar", "dist_euclidean",
-                    "dist_kl", "sparseness_w", "sparseness_h", "warnings",
-                    "timing_ms"}
-        assert required <= set(payload)
+                    "dist_kl", "sparseness_w", "sparseness_h", "warnings"}
+        assert required == set(payload)
         assert "objective_trace" not in payload
 
     def test_trace_included_when_present(self, tmp_path):

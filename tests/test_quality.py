@@ -325,3 +325,23 @@ class TestFitSummary:
         assert s.dist_kl >= 0.0
         assert 0.0 <= s.sparseness_w <= 1.0
         assert 0.0 <= s.sparseness_h <= 1.0
+
+    def test_one_residual_per_summary(self, monkeypatch):
+        import nmfkit.quality as quality_mod
+        rng = make_rng(10)
+        v = random_nonneg(rng, 7, 5)
+        m = model_of(rng.uniform(size=(7, 2)), rng.uniform(size=(2, 5)))
+        calls = []
+
+        def counted_rss(*args):
+            calls.append(args)
+            return rss(*args)
+
+        monkeypatch.setattr(quality_mod, "rss", counted_rss)
+        s = fit_summary(v, m)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert s.rss == rss(v, m)
+        assert s.evar == evar(v, m)
+        with pytest.raises(DegenerateError):
+            fit_summary(np.zeros((7, 5)), m)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_nonneg
+from conftest import make_rng, random_nonneg, to_csr
 from nmfkit.errors import ParamError, RankError, SeedError
 from nmfkit.matcore import RngStream, frobenius_sq
 from nmfkit.seeding import (SEED_METHOD_NAMES, SeedSpec, seed_factors,
@@ -213,3 +213,19 @@ def test_every_method_returns_conforming_factors(name, m, n, k, seed):
     assert w.shape == (m, k) and h.shape == (k, n)
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(h))
     assert w.min() >= 0 and h.min() >= 0
+
+
+@pytest.mark.parametrize("kind", ["random_vcol", "random_c"])
+def test_centroid_seeding_keeps_csr_sparse(kind):
+    rng = make_rng(12)
+    dense = random_nonneg(rng, 25, 15)
+    dense[dense < 0.6] = 0.0
+    dense[3, :] = 0.0
+    dense[:, 2] = 0.0
+    sparse = to_csr(dense)
+    spec = SeedSpec(kind, dense_fraction=0.5)
+    ws, hs = seed_factors(sparse, 3, spec, RngStream(4))
+    assert sparse._dense_data is None
+    wd, hd = seed_factors(dense, 3, spec, RngStream(4))
+    np.testing.assert_allclose(ws, wd, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(hs, hd, rtol=1e-12, atol=1e-15)
