@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--noise", type=float, default=0.01)
     ap.add_argument("--method", default="nmf-kl")
     ap.add_argument("--master-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     v, _, _ = synth(args.rows, args.cols, args.true_rank,
@@ -29,7 +28,7 @@ def main():
                         seed=SeedSpec("random_vcol"))
     sweep = RankSweepConfig(ranks=args.ranks, runs_per_rank=args.runs,
                             base=base, master_seed=args.master_seed)
-    report = rank_sweep(v, sweep, threads=args.threads)
+    report = rank_sweep(v, sweep)
 
     print("rank  cophenetic  dispersion  mean_rss  mean_evar  mean_iter")
     for rec in report.records:

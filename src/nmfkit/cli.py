@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 runtime/pipeline error (out of memory included),
 2 flag misuse.  Results go to files and standard output; diagnostics
 (including wall time) go to the error stream.  With a fixed --master-seed
-every command writes byte-identical output files across runs and --threads
-counts, at a fixed BLAS thread count.
+every command writes byte-identical output files across runs, at a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 import warnings
@@ -189,21 +188,8 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def _env_threads():
-    """Thread count from NMFKIT_THREADS; None when unset or empty."""
-    text = os.environ.get("NMFKIT_THREADS", "")
-    if not text:
-        return None
-    try:
-        return _positive_int(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise UsageError("NMFKIT_THREADS must be a positive integer, got %r"
-                         % (text,)) from None
-
-
 def cmd_rank_estimate(args) -> int:
     start = time.perf_counter()
-    threads = args.threads if args.threads is not None else _env_threads()
     v = _read_input(args)
     ranks = _parse_ranks(args.ranks)
     base = _build_config(args, ranks[0])
@@ -211,7 +197,7 @@ def cmd_rank_estimate(args) -> int:
                             master_seed=args.master_seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = rank_sweep(v, sweep, threads=threads)
+        report = rank_sweep(v, sweep)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -283,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate ranks: A..B or comma list")
     p.add_argument("--runs", type=_positive_int, default=10,
                    help="factorization runs per rank")
-    p.add_argument("--threads", type=_positive_int,
-                   help="worker threads (default: NMFKIT_THREADS, else 1)")
     p.set_defaults(func=cmd_rank_estimate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic matrix")

@@ -1,20 +1,13 @@
 """Repeated factorizations: consensus over runs and rank estimation.
 
 Every run gets its own stream seed derived from (master_seed, rank, run
-index) through the documented mixing function in matcore, so results are
-identical whether runs execute serially or on a worker pool, and across
-any thread count.  Connectivity matrices are reduced in canonical run
-order after all runs complete.
-
-Runs execute serially unless more threads are asked for: the runs are
-small and hold the interpreter lock most of the time, so a pool makes a
-sweep slower (2-3x on a 2-core host), not faster.
+index) through the documented mixing function in matcore, and runs execute
+serially, so connectivity matrices are summed in canonical run order.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,41 +43,29 @@ class ConsensusReport:
     recommended_rank: int = 0
 
 
-def default_threads() -> int:
-    return 1
-
-
 def run_many(v, config: FactorConfig, runs: int, master_seed: int,
-             threads: int | None = None):
+             threads: int = 1):
     """Run `runs` independent factorizations and average their
     connectivity matrices.  Returns (models, consensus matrix).
 
-    A failing run aborts the whole batch with its error; silently skipped
-    runs would bias the consensus.
+    Runs execute serially; `threads` is kept for existing callers and
+    must be 1.  A failing run aborts the whole batch with its error;
+    silently skipped runs would bias the consensus.
     """
     if runs < 1:
         raise ParamError("run count must be at least 1")
+    if threads != 1:
+        raise ParamError("runs execute serially; threads must be 1")
     v = as_matrix(v)
     seeds = [derive_seed(master_seed, config.rank, i) for i in range(runs)]
-
-    def one(seed):
-        model, _ = factorize(v, replace(config, master_seed=seed))
-        return model
-
-    threads = threads if threads is not None else default_threads()
-    if threads > 1 and runs > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            models = list(pool.map(one, seeds))
-    else:
-        models = [one(s) for s in seeds]
-
+    models = [factorize(v, replace(config, master_seed=s))[0] for s in seeds]
     acc = ConsensusAccumulator.empty(v.cols)
-    for model in models:  # canonical run order: reproducible float sums
+    for model in models:
         acc.add(connectivity(model.H))
     return models, consensus(acc)
 
 
-def rank_sweep(v, sweep: RankSweepConfig, threads: int | None = None) -> ConsensusReport:
+def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
     """Consensus statistics per candidate rank plus a recommendation.
 
     The recommended rank maximizes the cophenetic coefficient; ties go to
@@ -110,7 +91,7 @@ def rank_sweep(v, sweep: RankSweepConfig, threads: int | None = None) -> Consens
     for rank in ranks:
         config = replace(sweep.base, rank=rank)
         models, cons = run_many(v, config, sweep.runs_per_rank,
-                                sweep.master_seed, threads)
+                                sweep.master_seed)
         report.records.append(RankRecord(
             rank=rank,
             cophenetic=cophenetic(cons),

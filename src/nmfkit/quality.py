@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, MetricError, RankError
-from .factor import FactorModel, reconstruct
+from .factor import FactorModel, objective, reconstruct
 from .matcore import EPS, as_matrix, frobenius_sq, kl_div
 
 
@@ -35,9 +35,7 @@ class FitSummary:
 
 def rss(v, model: FactorModel) -> float:
     """Residual sum of squares against the model reconstruction."""
-    vd = as_matrix(v).dense_view()
-    r = vd - reconstruct(model)
-    return float(np.dot(r.ravel(), r.ravel()))
+    return objective(v, model, "euclidean")
 
 
 def evar(v, model: FactorModel) -> float:
@@ -136,12 +134,7 @@ def connectivity(h) -> np.ndarray:
 
 @dataclass
 class ConsensusAccumulator:
-    """Running sum of connectivity matrices over repeated runs.
-
-    Merging accumulators is associative and commutative, so per-run
-    matrices can be reduced in any grouping (the callers still reduce in
-    canonical run order to keep floating-point sums reproducible).
-    """
+    """Running sum of connectivity matrices over repeated runs."""
 
     n: int
     sum_connectivity: np.ndarray
@@ -154,12 +147,6 @@ class ConsensusAccumulator:
     def add(self, conn: np.ndarray):
         self.sum_connectivity = self.sum_connectivity + conn
         self.runs += 1
-
-    def merge(self, other: "ConsensusAccumulator") -> "ConsensusAccumulator":
-        return ConsensusAccumulator(
-            n=self.n,
-            sum_connectivity=self.sum_connectivity + other.sum_connectivity,
-            runs=self.runs + other.runs)
 
 
 def consensus(acc: ConsensusAccumulator) -> np.ndarray:

@@ -73,6 +73,21 @@ class TestExitCodes:
                                 extra=["--param", "warp=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("method, param", [
+        ("lsnmf", "armijo_beta=0"),  # was a ZeroDivisionError traceback
+        ("bd", "sigma_shape=-200"),  # was numpy's "shape < 0" ValueError
+        ("snmf-r", "eta=nan"),       # was a run that exited 0
+    ])
+    def test_out_of_range_param_is_param_error(self, tmp_path, small_matrix,
+                                               capsys, method, param):
+        code = main(["factorize", "--input", str(small_matrix),
+                     "--method", method, "--rank", "3", "--param", param,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (param): method parameter %s "
+                              % param.split("=")[0])
+
     def test_dense_view_out_of_memory_exits_1(self, tmp_path, monkeypatch,
                                               capsys):
         path = tmp_path / "sparse.mtx"
@@ -215,7 +230,6 @@ class TestRankEstimate:
             code = main(["rank-estimate", "--input", str(small_matrix),
                          "--method", "nmf-kl", "--ranks", "2,3", "--runs",
                          "3", "--max-iter", "25", "--master-seed", "42",
-                         "--threads", str(1 if name == "r1" else 4),
                          "--output-dir", str(outdir)])
             assert code == 0
             outputs.append((outdir / "consensus_report.csv").read_bytes())
@@ -226,27 +240,19 @@ class TestRankEstimate:
                      "--method", "nmf-kl", "--ranks", "5..2"])
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_threads_env_is_usage_error(self, tmp_path, small_matrix,
-                                            monkeypatch, capsys, value):
-        monkeypatch.setenv("NMFKIT_THREADS", value)
-        code = main(["synth", "--rows", "5", "--cols", "4", "--rank", "2",
-                     "--output", str(tmp_path / "x.mtx")])
-        assert code == 0
-        capsys.readouterr()
-        code = main(["rank-estimate", "--input", str(small_matrix),
-                     "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
-                     "--output-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert "usage error: NMFKIT_THREADS" in capsys.readouterr().err
-
-    def test_threads_flag_overrides_env(self, tmp_path, small_matrix,
-                                        monkeypatch):
-        monkeypatch.setenv("NMFKIT_THREADS", "abc")
+    def test_threads_flag_is_gone(self, tmp_path, small_matrix):
         code = main(["rank-estimate", "--input", str(small_matrix),
                      "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
                      "--max-iter", "10", "--threads", "2",
                      "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_threads_env_is_ignored(self, tmp_path, small_matrix,
+                                    monkeypatch):
+        monkeypatch.setenv("NMFKIT_THREADS", "abc")
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
+                     "--max-iter", "10", "--output-dir", str(tmp_path / "out")])
         assert code == 0
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import nmfkit.factor as factor_mod
 from conftest import make_rng, random_nonneg, to_csr
-from nmfkit.errors import DomainError, MethodError, ParamError, RankError
+from nmfkit.errors import (DomainError, MethodError, OutOfMemoryError,
+                           ParamError, RankError)
 from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
                            ParamSet, bd_gibbs_step, bmf_iterate,
                            bmf_objective, connectivity_stop, factorize,
@@ -411,6 +413,29 @@ class TestFactorize:
     def test_rank_out_of_range(self):
         with pytest.raises(RankError):
             factorize(np.ones((3, 4)), FactorConfig(method="nmf-eu", rank=4))
+
+    @pytest.mark.parametrize("name, value", [
+        ("theta", 1.5), ("eta", -1.0), ("lambda_growth", float("inf")),
+        ("lambda0", 0.0), ("sigma_scale", -1.0), ("burn_in", -1),
+        ("pg_tol", float("nan")), ("inner_max_iter", 0),
+        ("armijo_beta", 1.0), ("armijo_sigma", 0.0)])
+    def test_out_of_range_param(self, name, value):
+        # every field is checked, whichever method runs
+        cfg = FactorConfig(method="nmf-eu", rank=1,
+                           params=ParamSet(**{name: value}))
+        with pytest.raises(ParamError, match="parameter %s " % name):
+            factorize(np.ones((3, 3)), cfg)
+
+    def test_memory_error_is_typed(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(factor_mod, "mu_kl_step", exhausted)
+        cfg = FactorConfig(method="nmf-kl", rank=2, seed=SeedSpec("random"))
+        with pytest.raises(OutOfMemoryError,
+                           match="nmf-kl at rank 2 on a 6x5 matrix") as info:
+            factorize(random_nonneg(make_rng(29), 6, 5), cfg)
+        assert info.value.kind == "memory"
 
     def test_bmf_domain(self):
         with pytest.raises(DomainError):

@@ -202,22 +202,6 @@ class TestConsensus:
         cons = consensus(acc)
         assert cons[0, 1] == 0.5 and cons[1, 2] == 0.5
 
-    def test_merge_associative_and_commutative(self):
-        rng = make_rng(8)
-        accs = []
-        for seed in range(3):
-            acc = ConsensusAccumulator.empty(5)
-            acc.add(connectivity(rng.uniform(size=(2, 5))))
-            accs.append(acc)
-        a, b, c = accs
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        np.testing.assert_allclose(left.sum_connectivity,
-                                   right.sum_connectivity, rtol=1e-15)
-        swap = b.merge(a)
-        np.testing.assert_array_equal(swap.sum_connectivity,
-                                      a.merge(b).sum_connectivity)
-
     def test_cophenetic_needs_three_samples(self):
         with pytest.raises(DegenerateError):
             cophenetic(np.eye(2))
