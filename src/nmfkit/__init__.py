@@ -11,18 +11,18 @@ from .factor import (FactorConfig, FactorModel, ParamSet, RunTrace, METHODS,
 from .matcore import DataMatrix, RngStream, derive_seed
 from .mio import read_matrix, synth, write_matrix, write_summary
 from .multirun import (ConsensusReport, RankSweepConfig, rank_sweep, run_many)
-from .quality import (ConsensusAccumulator, FitSummary, connectivity,
-                      consensus, cophenetic, dispersion, distance, evar,
-                      feature_scores, fit_summary, rss, sparseness)
+from .quality import (FitSummary, connectivity, consensus, cophenetic,
+                      dispersion, distance, evar, feature_scores, fit_summary,
+                      rss, sparseness)
 from .seeding import SEED_METHOD_NAMES, SeedSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsensusAccumulator", "ConsensusReport", "DataMatrix", "FactorConfig",
-    "FactorModel", "FitSummary", "METHODS", "NmfkitError", "ParamSet",
-    "RankSweepConfig", "RngStream", "RunTrace", "SEED_METHOD_NAMES",
-    "SeedSpec", "connectivity", "consensus", "cophenetic", "derive_seed",
+    "ConsensusReport", "DataMatrix", "FactorConfig", "FactorModel",
+    "FitSummary", "METHODS", "NmfkitError", "ParamSet", "RankSweepConfig",
+    "RngStream", "RunTrace", "SEED_METHOD_NAMES", "SeedSpec",
+    "connectivity", "consensus", "cophenetic", "derive_seed",
     "dispersion", "distance", "evar", "factorize", "feature_scores",
     "fit_summary", "rank_sweep", "read_matrix", "reconstruct", "rss",
     "run_many", "sparseness", "synth", "write_matrix", "write_summary",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 import warnings
@@ -20,35 +19,30 @@ from pathlib import Path
 from .errors import NmfkitError
 from .factor import METHODS, FactorConfig, ParamSet, factorize
 from .matcore import DataMatrix
-from .mio import SummaryDocument, read_matrix, synth, write_matrix, write_summary
+from .mio import read_matrix, synth, write_matrix, write_summary
 from .multirun import RankSweepConfig, rank_sweep
 from .quality import fit_summary
 from .seeding import SEED_METHOD_NAMES, SeedSpec
+
+
+# the FitSummary fields written to summary.json (final_objective is not)
+_FIT_FIELDS = ("n_iter", "rss", "evar", "dist_euclidean", "dist_kl",
+               "sparseness_w", "sparseness_h")
 
 
 class UsageError(Exception):
     pass
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
-
-
-def _nonneg_float(text):
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _at_least(low, cast):
+    """An argparse type: the text read by `cast`, refused below `low`."""
+    def parse(text):
+        value = cast(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %s" % (low,))
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
 _PARAM_TYPES = {f.name: f.type for f in dataclasses.fields(ParamSet)}
@@ -112,14 +106,14 @@ def _add_factorize_flags(p, with_rank=True):
     _add_common_io_flags(p)
     p.add_argument("--method", required=True, choices=METHODS)
     if with_rank:
-        p.add_argument("--rank", required=True, type=_positive_int)
+        p.add_argument("--rank", required=True, type=_at_least(1, int))
     p.add_argument("--seed", default="random_vcol", choices=SEED_METHOD_NAMES)
-    p.add_argument("--max-iter", type=_positive_int, default=200)
-    p.add_argument("--min-delta", type=_nonneg_float, default=1e-5,
+    p.add_argument("--max-iter", type=_at_least(1, int), default=200)
+    p.add_argument("--min-delta", type=_at_least(0.0, float), default=1e-5,
                    help="relative objective improvement below which to stop")
-    p.add_argument("--conn-change", type=_nonneg_int, default=30,
+    p.add_argument("--conn-change", type=_at_least(0, int), default=30,
                    help="connectivity-stability stopping window (0 disables)")
-    p.add_argument("--master-seed", type=_nonneg_int, default=0)
+    p.add_argument("--master-seed", type=_at_least(0, int), default=0)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
     p.add_argument("--sparseness-axis", choices=("columns", "rows"),
@@ -161,22 +155,14 @@ def cmd_factorize(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix(DataMatrix.dense(model.W), outdir / "W.mtx")
     write_matrix(DataMatrix.dense(model.H), outdir / "H.mtx")
-    doc = SummaryDocument(
-        schema_version="2",
-        method=config.method,
-        rank=config.rank,
-        seed_method=args.seed,
-        n_iter=model.n_iter,
-        max_iter=config.max_iter,
-        rss=summary.rss,
-        evar=summary.evar,
-        dist_euclidean=summary.dist_euclidean,
-        dist_kl=summary.dist_kl,
-        sparseness_w=summary.sparseness_w,
-        sparseness_h=summary.sparseness_h,
-        warnings=[str(w.message) for w in caught],
-        objective_trace=trace.objective_per_iter if config.track_error else None)
-    write_summary(doc, outdir / "summary.json")
+    payload = {"schema_version": "2", "method": config.method,
+               "rank": config.rank, "seed_method": args.seed,
+               "max_iter": config.max_iter,
+               "warnings": [str(w.message) for w in caught]}
+    payload.update((key, getattr(summary, key)) for key in _FIT_FIELDS)
+    if config.track_error:
+        payload["objective_trace"] = trace.objective_per_iter
+    write_summary(payload, outdir / "summary.json")
     print("Rss: %.4f" % summary.rss)
     print("Evar: %.4f" % summary.evar)
     print("K-L divergence: %.4f" % summary.dist_kl)
@@ -200,23 +186,17 @@ def cmd_rank_estimate(args) -> int:
         report = rank_sweep(v, sweep)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": "1",
-        "method": args.method,
-        "runs_per_rank": args.runs,
-        "ranks": [dataclasses.asdict(rec) for rec in report.records],
-        "recommended_rank": report.recommended_rank,
-        "warnings": [str(w.message) for w in caught],
-    }
-    with open(outdir / "consensus_report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    records = [dataclasses.asdict(rec) for rec in report.records]
+    write_summary({"schema_version": "1", "method": args.method,
+                   "runs_per_rank": args.runs, "ranks": records,
+                   "recommended_rank": report.recommended_rank,
+                   "warnings": [str(w.message) for w in caught]},
+                  outdir / "consensus_report.json")
     with open(outdir / "consensus_report.csv", "w", encoding="utf-8") as fh:
-        fh.write("rank,cophenetic,dispersion,mean_rss,mean_evar,mean_n_iter\n")
-        for rec in report.records:
+        fh.write(",".join(records[0]) + "\n")  # RankRecord's field names
+        for rec in records:
             fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (rec.rank, rec.cophenetic, rec.dispersion,
-                        rec.mean_rss, rec.mean_evar, rec.mean_n_iter))
+                     % tuple(rec.values()))
     print("Recommended rank: %d" % report.recommended_rank)
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
     print("rank-estimate finished in %d ms; outputs in %s"
@@ -267,17 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factorize_flags(p, with_rank=False)
     p.add_argument("--ranks", required=True,
                    help="candidate ranks: A..B or comma list")
-    p.add_argument("--runs", type=_positive_int, default=10,
+    p.add_argument("--runs", type=_at_least(1, int), default=10,
                    help="factorization runs per rank")
     p.set_defaults(func=cmd_rank_estimate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic matrix")
-    p.add_argument("--rows", required=True, type=_positive_int)
-    p.add_argument("--cols", required=True, type=_positive_int)
-    p.add_argument("--rank", required=True, type=_positive_int)
-    p.add_argument("--noise", type=_nonneg_float, default=0.0)
+    p.add_argument("--rows", required=True, type=_at_least(1, int))
+    p.add_argument("--cols", required=True, type=_at_least(1, int))
+    p.add_argument("--rank", required=True, type=_at_least(1, int))
+    p.add_argument("--noise", type=_at_least(0.0, float), default=0.0)
     p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--emit-truth", action="store_true",
                    help="also write the ground-truth factors")

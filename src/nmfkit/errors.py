@@ -4,6 +4,8 @@ Every error carries a stable ``kind`` label so callers (and the CLI exit
 logic) can dispatch without parsing messages.
 """
 
+from contextlib import contextmanager
+
 
 class NmfkitError(Exception):
     """Base class for all nmfkit errors."""
@@ -57,3 +59,12 @@ class DegenerateError(NmfkitError):
 
 class OutOfMemoryError(NmfkitError):
     kind = "memory"
+
+
+@contextmanager
+def out_of_memory(doing: str):
+    """Re-raise a MemoryError as OutOfMemoryError("out of memory <doing>")."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise OutOfMemoryError("out of memory " + doing) from exc

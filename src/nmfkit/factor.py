@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, MethodError, OutOfMemoryError, ParamError,
-                     RankError)
+from .errors import (DomainError, MethodError, ParamError, RankError,
+                     out_of_memory)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
                       kl_div_product, matmul, safe_divide, safe_divide_product)
 from .seeding import SeedSpec, seed_factors
@@ -510,12 +510,9 @@ def factorize(v, config: FactorConfig):
     if method == "bmf" and peak > 1.0:
         raise DomainError("bmf requires V scaled into [0, 1]")
     eta = params.eta if params.eta is not None else peak ** 2
-    try:
+    with out_of_memory("running %s at rank %d on a %dx%d matrix"
+                       % (method, config.rank, m, n)):
         return _run(v, config, eta)
-    except MemoryError as exc:
-        raise OutOfMemoryError("out of memory running %s at rank %d on a "
-                               "%dx%d matrix" % (method, config.rank, m, n)
-                               ) from exc
 
 
 def _run(v, config: FactorConfig, eta: float):
@@ -534,8 +531,11 @@ def _run(v, config: FactorConfig, eta: float):
     w_sum, h_sum, samples = np.zeros_like(w), np.zeros_like(h), 0
 
     def lam_of(it):  # bmf's penalty schedule
-        return min(params.lambda0 * params.lambda_growth
-                   ** ((it - 1) // params.lambda_period), BMF_LAMBDA_CAP)
+        try:
+            return min(params.lambda0 * params.lambda_growth
+                       ** ((it - 1) // params.lambda_period), BMF_LAMBDA_CAP)
+        except OverflowError:  # a power far above the cap
+            return BMF_LAMBDA_CAP
 
     def current_objective(it):
         if method == "bmf":

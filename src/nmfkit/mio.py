@@ -10,39 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, IoError, ParamError, ParseError
+from .errors import DomainError, IoError, ParamError, ParseError, out_of_memory
 from .matcore import DataMatrix, RngStream, as_matrix
 
 FORMATS = ("mtx", "csv")
-
-
-@dataclass
-class SummaryDocument:
-    """The JSON document written next to factor outputs."""
-
-    schema_version: str
-    method: str
-    rank: int
-    seed_method: str
-    n_iter: int
-    max_iter: int
-    rss: float
-    evar: float
-    dist_euclidean: float
-    dist_kl: float
-    sparseness_w: float
-    sparseness_h: float
-    warnings: list
-    objective_trace: list | None = None
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _infer_format(path, fmt):
@@ -92,17 +67,19 @@ def _read_mtx(lines, allow_negative):
     if not body:
         raise ParseError("missing size line")
     size_no, size_line = body[0]
-    sizes = size_line.split()
     entries = body[1:]
+    need = "rows cols nnz" if layout == "coordinate" else "rows cols"
+    if len(size_line.split()) != len(need.split()):
+        raise ParseError("line %d: %s size line needs '%s'"
+                         % (size_no, layout, need))
+    try:
+        sizes = [int(t) for t in size_line.split()]
+    except ValueError:
+        raise ParseError("line %d: bad size line" % size_no) from None
+    m, n = sizes[:2]
 
     if layout == "coordinate":
-        if len(sizes) != 3:
-            raise ParseError("line %d: coordinate size line needs 'rows cols nnz'"
-                             % size_no)
-        try:
-            m, n, nnz = (int(t) for t in sizes)
-        except ValueError:
-            raise ParseError("line %d: bad size line" % size_no) from None
+        nnz = sizes[2]
         if len(entries) != nnz:
             raise ParseError("entry count %d does not match declared nnz %d"
                              % (len(entries), nnz))
@@ -128,12 +105,6 @@ def _read_mtx(lines, allow_negative):
         _check_sign(values, allow_negative)
         return DataMatrix.from_coo(rows, cols, values, (m, n))
 
-    if len(sizes) != 2:
-        raise ParseError("line %d: array size line needs 'rows cols'" % size_no)
-    try:
-        m, n = (int(t) for t in sizes)
-    except ValueError:
-        raise ParseError("line %d: bad size line" % size_no) from None
     vals = []
     for no, ln in entries:
         for token in ln.split():
@@ -183,43 +154,38 @@ def read_matrix(path, fmt: str | None = None,
     MatrixMarket `coordinate` becomes CSR, `array` and CSV become dense.
     Negative entries are rejected unless allow_negative is set (model
     inputs must be nonnegative); NaN/Inf tokens always fail the parse.
+    Running out of memory raises OutOfMemoryError.
     """
     fmt = _infer_format(path, fmt)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError("cannot read %s: %s" % (path, exc)) from exc
-    if fmt == "mtx":
-        return _read_mtx(lines, allow_negative)
-    return _read_csv(lines, allow_negative)
+    with out_of_memory("reading %s" % (path,)):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise IoError("cannot read %s: %s" % (path, exc)) from exc
+        if fmt == "mtx":
+            return _read_mtx(lines, allow_negative)
+        return _read_csv(lines, allow_negative)
 
 
 def write_matrix(matrix, path, fmt: str | None = None) -> None:
     """Write a matrix; dense goes to `array`/CSV, CSR to `coordinate`."""
     matrix = as_matrix(matrix)
     fmt = _infer_format(path, fmt)
-    out = []
-    if fmt == "mtx":
-        if matrix.is_sparse:
-            out.append("%%MatrixMarket matrix coordinate real general")
-            out.append("%d %d %d" % (matrix.rows, matrix.cols, matrix.nnz))
-            for i in range(matrix.rows):
-                s, e = matrix.indptr[i], matrix.indptr[i + 1]
-                for idx in range(s, e):
-                    out.append("%d %d %s" % (i + 1, matrix.indices[idx] + 1,
-                                             _fmt(matrix.data[idx])))
-        else:
-            dense = matrix.dense_view()
-            out.append("%%MatrixMarket matrix array real general")
-            out.append("%d %d" % matrix.shape)
-            for j in range(matrix.cols):  # column-major per the format
-                for i in range(matrix.rows):
-                    out.append(_fmt(dense[i, j]))
+    if fmt == "mtx" and matrix.is_sparse:
+        rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(matrix.indptr))
+        out = ["%%MatrixMarket matrix coordinate real general",
+               "%d %d %d" % (matrix.rows, matrix.cols, matrix.nnz)]
+        out += ["%d %d %.17g" % entry for entry in
+                zip(rows.tolist(), (matrix.indices + 1).tolist(),
+                    matrix.data.tolist())]
+    elif fmt == "mtx":  # column-major per the format
+        out = ["%%MatrixMarket matrix array real general",
+               "%d %d" % matrix.shape]
+        out += ["%.17g" % x for x in matrix.dense_view().T.ravel().tolist()]
     else:
-        dense = matrix.dense_view()
-        for i in range(matrix.rows):
-            out.append(",".join(_fmt(x) for x in dense[i, :]))
+        out = [",".join("%.17g" % x for x in row)
+               for row in matrix.dense_view().tolist()]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(out) + "\n")
@@ -227,14 +193,16 @@ def write_matrix(matrix, path, fmt: str | None = None) -> None:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def write_summary(doc: SummaryDocument, path) -> None:
-    """Write the fit summary as a single deterministic JSON object."""
-    payload = asdict(doc)
-    if payload.get("objective_trace") is None:
-        payload.pop("objective_trace", None)
-    for key, value in payload.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParamError("summary field %r is not finite" % (key,))
+def write_summary(payload: dict, path) -> None:
+    """Write a report as one deterministic JSON object: sorted keys, two
+    spaces of indent, a trailing newline.  A non-finite float anywhere in
+    a field raises ParamError, since JSON has no spelling for it."""
+    for key in sorted(payload):
+        try:
+            json.dumps(payload[key], allow_nan=False)
+        except ValueError:
+            raise ParamError("summary field %r is not finite"
+                             % (key,)) from None
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

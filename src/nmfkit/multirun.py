@@ -2,7 +2,8 @@
 
 Every run gets its own stream seed derived from (master_seed, rank, run
 index) through the documented mixing function in matcore, and runs execute
-serially, so connectivity matrices are summed in canonical run order.
+serially.  The consensus matrix is the mean connectivity of the runs' H
+factors, taken in run order.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParamError, RankError
+from .errors import ParamError, RankError, out_of_memory
 from .factor import FactorConfig, factorize
 from .matcore import as_matrix, derive_seed
-from .quality import (ConsensusAccumulator, connectivity, consensus,
-                      cophenetic, dispersion, evar, rss)
+from .quality import _evar_of_rss, consensus, cophenetic, dispersion, rss
 
 
 @dataclass
@@ -59,10 +59,7 @@ def run_many(v, config: FactorConfig, runs: int, master_seed: int,
     v = as_matrix(v)
     seeds = [derive_seed(master_seed, config.rank, i) for i in range(runs)]
     models = [factorize(v, replace(config, master_seed=s))[0] for s in seeds]
-    acc = ConsensusAccumulator.empty(v.cols)
-    for model in models:
-        acc.add(connectivity(model.H))
-    return models, consensus(acc)
+    return models, consensus([model.H for model in models])
 
 
 def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
@@ -70,7 +67,8 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
 
     The recommended rank maximizes the cophenetic coefficient; ties go to
     the smallest rank.  Fewer than two runs per rank is permitted but
-    degenerate, and recorded as a warning.
+    degenerate, and recorded as a warning.  Running out of memory raises
+    OutOfMemoryError.
     """
     v = as_matrix(v)
     m, n = v.shape
@@ -89,16 +87,18 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
 
     report = ConsensusReport()
     for rank in ranks:
-        config = replace(sweep.base, rank=rank)
-        models, cons = run_many(v, config, sweep.runs_per_rank,
-                                sweep.master_seed)
-        report.records.append(RankRecord(
-            rank=rank,
-            cophenetic=cophenetic(cons),
-            dispersion=dispersion(cons),
-            mean_rss=float(np.mean([rss(v, mo) for mo in models])),
-            mean_evar=float(np.mean([evar(v, mo) for mo in models])),
-            mean_n_iter=float(np.mean([mo.n_iter for mo in models]))))
+        with out_of_memory("sweeping rank %d on a %dx%d matrix"
+                           % (rank, m, n)):
+            models, cons = run_many(v, replace(sweep.base, rank=rank),
+                                    sweep.runs_per_rank, sweep.master_seed)
+            rsses = [rss(v, mo) for mo in models]
+            report.records.append(RankRecord(
+                rank=rank,
+                cophenetic=cophenetic(cons),
+                dispersion=dispersion(cons),
+                mean_rss=float(np.mean(rsses)),
+                mean_evar=float(np.mean([_evar_of_rss(v, r) for r in rsses])),
+                mean_n_iter=float(np.mean([mo.n_iter for mo in models]))))
     best = max(rec.cophenetic for rec in report.records)
     report.recommended_rank = min(rec.rank for rec in report.records
                                   if rec.cophenetic == best)

@@ -2,7 +2,8 @@
 
 Methods: uniform random, fixed factors, Random C (dense-column centroids),
 Random Vcol (column/row centroids), and NNDSVD with the zero-filling
-variants ``a`` and ``ar``.
+variants ``a`` and ``ar``.  A SeedSpec names one of the seven methods in
+SEED_METHOD_NAMES; the three NNDSVD names select seed_nndsvd's variant.
 """
 
 from __future__ import annotations
@@ -19,19 +20,18 @@ from .matcore import RngStream, as_matrix, matmul
 # Stable identifiers accepted by the CLI and by SeedSpec.from_name.
 SEED_METHOD_NAMES = ("random", "fixed", "random_c", "random_vcol",
                      "nndsvd", "nndsvda", "nndsvdar")
+_NNDSVD_VARIANT = {"nndsvd": "none", "nndsvda": "a", "nndsvdar": "ar"}
 
 
 @dataclass
 class SeedSpec:
     """How to build the initial (W, H) pair.
 
-    kind is one of random | fixed | random_c | random_vcol | nndsvd.
-    ``variant`` only applies to nndsvd ("none", "a", "ar").  ``scale`` is
-    the upper end of the uniform range used by ``random``.
+    kind is one of SEED_METHOD_NAMES.  ``scale`` is the upper end of the
+    uniform range used by ``random``.
     """
 
     kind: str = "random_vcol"
-    variant: str = "none"
     p_cols: int | None = None
     p_rows: int | None = None
     dense_fraction: float = 0.2
@@ -44,17 +44,7 @@ class SeedSpec:
         if name not in SEED_METHOD_NAMES:
             raise SeedError("unknown seeding method %r (expected one of %s)"
                             % (name, ", ".join(SEED_METHOD_NAMES)))
-        if name == "nndsvda":
-            return cls(kind="nndsvd", variant="a", **kwargs)
-        if name == "nndsvdar":
-            return cls(kind="nndsvd", variant="ar", **kwargs)
         return cls(kind=name, **kwargs)
-
-    @property
-    def name(self) -> str:
-        if self.kind == "nndsvd" and self.variant in ("a", "ar"):
-            return "nndsvd" + self.variant
-        return self.kind
 
 
 def _check_rank(m: int, n: int, k: int):
@@ -234,8 +224,8 @@ def seed_factors(v, k: int, spec: SeedSpec, rng: RngStream):
         return seed_random_vcol(v, k, spec.p_cols, spec.p_rows, rng)
     if spec.kind == "random_c":
         return seed_random_c(v, k, spec.p_cols, spec.dense_fraction, rng)
-    if spec.kind == "nndsvd":
-        return seed_nndsvd(v, k, spec.variant, rng)
+    if spec.kind in _NNDSVD_VARIANT:
+        return seed_nndsvd(v, k, _NNDSVD_VARIANT[spec.kind], rng)
     if spec.kind == "fixed":
         return seed_fixed(spec.w0, spec.h0, m, n, k)
     raise SeedError("unknown seeding kind %r" % (spec.kind,))

@@ -144,6 +144,17 @@ class TestFactorizeOutputs:
         # timing goes to stderr only, so the file stays byte-identical
         assert "timing_ms" not in payload
 
+    def test_summary_key_set(self, tmp_path, small_matrix):
+        keys = {"schema_version", "method", "rank", "seed_method", "n_iter",
+                "max_iter", "rss", "evar", "dist_euclidean", "dist_kl",
+                "sparseness_w", "sparseness_h", "warnings"}
+        _, outdir = run_factorize(tmp_path, small_matrix, "plain")
+        assert set(json.loads((outdir / "summary.json").read_text())) == keys
+        _, outdir = run_factorize(tmp_path, small_matrix, "traced",
+                                  extra=["--track-error"])
+        payload = json.loads((outdir / "summary.json").read_text())
+        assert set(payload) == keys | {"objective_trace"}
+
     def test_track_error_writes_trace(self, tmp_path, small_matrix):
         _, outdir = run_factorize(tmp_path, small_matrix,
                                   extra=["--track-error"])
@@ -194,6 +205,20 @@ class TestFactorizeOutputs:
                      "--output-dir", str(outdir)])
         assert code == 0
 
+    def test_bmf_penalty_schedule_past_float_range(self, tmp_path):
+        # lambda0 * 10 ** 400 has no float value; the cap applies instead
+        matrix = tmp_path / "s.mtx"
+        assert main(["synth", "--rows", "20", "--cols", "15", "--rank", "3",
+                     "--output", str(matrix)]) == 0
+        outdir = tmp_path / "out"
+        assert main(["factorize", "--input", str(matrix), "--rank", "3",
+                     "--method", "bmf", "--scale-unit",
+                     "--param", "lambda_period=1", "--max-iter", "400",
+                     "--min-delta", "0", "--conn-change", "0",
+                     "--output-dir", str(outdir)]) == 0
+        payload = json.loads((outdir / "summary.json").read_text())
+        assert payload["n_iter"] == 400
+
 
 class TestRankEstimate:
     def test_report_files_and_record_count(self, tmp_path, small_matrix,
@@ -234,6 +259,19 @@ class TestRankEstimate:
             assert code == 0
             outputs.append((outdir / "consensus_report.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_non_finite_report_is_param_error(self, tmp_path, small_matrix,
+                                              monkeypatch, capsys):
+        from nmfkit.multirun import ConsensusReport, RankRecord
+        nan = float("nan")
+        report = ConsensusReport([RankRecord(2, nan, 1.0, 1.0, 0.5, 3.0)], 2)
+        monkeypatch.setattr(cli_mod, "rank_sweep", lambda v, sweep: report)
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", "--ranks", "2",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error (param): summary field 'ranks' is not finite")
 
     def test_bad_ranks_spec(self, small_matrix):
         code = main(["rank-estimate", "--input", str(small_matrix),

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_rng, sparsify, to_csr
-from nmfkit.errors import DomainError, IoError, ParamError, ParseError
+import nmfkit.mio as mio_mod
+from nmfkit.errors import (DomainError, IoError, OutOfMemoryError, ParamError,
+                           ParseError)
 from nmfkit.matcore import DataMatrix
-from nmfkit.mio import (SummaryDocument, read_matrix, synth, write_matrix,
-                        write_summary)
+from nmfkit.mio import read_matrix, synth, write_matrix, write_summary
 
 
 class TestReadMtx:
@@ -86,6 +87,19 @@ class TestReadMtx:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             read_matrix(tmp_path / "absent.mtx")
+
+    def test_memory_error_is_typed(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n"
+                        "1 1\n2.0\n")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(mio_mod, "_read_mtx", exhausted)
+        with pytest.raises(OutOfMemoryError, match="m.mtx") as info:
+            read_matrix(path)
+        assert info.value.kind == "memory"
 
 
 class TestReadCsv:
@@ -165,21 +179,16 @@ class TestSummary:
         base = dict(schema_version="2", method="lsnmf", rank=3,
                     seed_method="random_vcol", n_iter=10, max_iter=20,
                     rss=1.0, evar=0.9, dist_euclidean=1.0, dist_kl=2.0,
-                    sparseness_w=0.5, sparseness_h=0.6, warnings=[],
-                    objective_trace=None)
+                    sparseness_w=0.5, sparseness_h=0.6, warnings=[])
         base.update(overrides)
-        return SummaryDocument(**base)
+        return base
 
-    def test_required_keys_present(self, tmp_path):
+    def test_writes_the_given_keys_sorted(self, tmp_path):
         path = tmp_path / "summary.json"
         write_summary(self.doc(), path)
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == "2"
-        required = {"schema_version", "method", "rank", "seed_method",
-                    "n_iter", "max_iter", "rss", "evar", "dist_euclidean",
-                    "dist_kl", "sparseness_w", "sparseness_h", "warnings"}
-        assert required == set(payload)
-        assert "objective_trace" not in payload
+        assert json.loads(path.read_text()) == self.doc()
+        assert path.read_text() == (
+            json.dumps(self.doc(), indent=2, sort_keys=True) + "\n")
 
     def test_trace_included_when_present(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -189,6 +198,12 @@ class TestSummary:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ParamError):
             write_summary(self.doc(rss=float("nan")), tmp_path / "s.json")
+
+    def test_nested_non_finite_rejected(self, tmp_path):
+        with pytest.raises(ParamError, match="'ranks'"):
+            write_summary(self.doc(ranks=[{"cophenetic": float("inf")}]),
+                          tmp_path / "s.json")
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestSynth:

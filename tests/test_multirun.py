@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_nonneg
-from nmfkit.errors import ParamError, RankError
+import nmfkit.multirun as multirun_mod
+import nmfkit.quality as quality_mod
+from nmfkit.errors import OutOfMemoryError, ParamError, RankError
 from nmfkit.factor import FactorConfig
 from nmfkit.mio import synth
 from nmfkit.multirun import RankSweepConfig, rank_sweep, run_many
@@ -115,3 +117,31 @@ class TestRankSweep:
         r2 = rank_sweep(v, sweep)
         assert r2.records == r1.records
         assert r2.recommended_rank == r1.recommended_rank
+
+    def test_one_residual_per_model(self, monkeypatch):
+        v = random_nonneg(make_rng(7), 9, 7)
+        sweep = RankSweepConfig(ranks=[2, 3], runs_per_rank=3,
+                                base=base_config(), master_seed=5)
+        want = rank_sweep(v, sweep)
+        objective = quality_mod.objective
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return objective(*args)
+
+        monkeypatch.setattr(quality_mod, "objective", counted)
+        got = rank_sweep(v, sweep)
+        assert calls == ["euclidean"] * 6
+        assert got.records == want.records
+
+    def test_memory_error_is_typed(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(multirun_mod, "cophenetic", exhausted)
+        sweep = RankSweepConfig(ranks=[2], runs_per_rank=2,
+                                base=base_config(), master_seed=0)
+        with pytest.raises(OutOfMemoryError, match="rank 2 on a 8x6") as info:
+            rank_sweep(random_nonneg(make_rng(8), 8, 6), sweep)
+        assert info.value.kind == "memory"

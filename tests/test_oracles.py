@@ -1,9 +1,11 @@
 """Frozen scalar implementations as oracles for the vectorized kernels.
 
-The cyclic one-pair-at-a-time Jacobi SVD and the per-entry rectified-normal
-sampler below are the earlier scalar code, kept here verbatim in substance.
-The Gibbs sampler must reproduce their chains bit for bit; the round-robin
-Jacobi SVD rotates in a different order, so it must agree to rounding.
+The cyclic one-pair-at-a-time Jacobi SVD, the per-entry rectified-normal
+sampler and the per-element matrix writer below are the earlier scalar
+code, kept here verbatim in substance.  The Gibbs sampler must reproduce
+their chains bit for bit, and write_matrix their files byte for byte; the
+round-robin Jacobi SVD rotates in a different order, so it must agree to
+rounding.
 """
 
 import math
@@ -20,7 +22,8 @@ from nmfkit._svd import jacobi_svd
 from nmfkit.errors import ParamError
 from nmfkit.factor import (ParamSet, _gibbs_factor_sweep, bd_gibbs_step,
                            sample_rectified_normal)
-from nmfkit.matcore import RngStream
+from nmfkit.matcore import DataMatrix, RngStream, as_matrix
+from nmfkit.mio import write_matrix
 from nmfkit.seeding import seed_nndsvd
 
 # -- the frozen scalar sampler -------------------------------------------------
@@ -242,3 +245,59 @@ class TestJacobiOracle:
         w_want, h_want = seed_nndsvd(v, k, variant, RngStream(3))
         np.testing.assert_allclose(w, w_want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h, h_want, rtol=0, atol=1e-12)
+
+
+# -- the frozen per-element matrix writer --------------------------------------
+
+
+def per_element_write(matrix, path):
+    """The earlier write_matrix: each value read by index, one at a time."""
+    matrix = as_matrix(matrix)
+    out = []
+    if path.suffix == ".mtx":
+        if matrix.is_sparse:
+            out.append("%%MatrixMarket matrix coordinate real general")
+            out.append("%d %d %d" % (matrix.rows, matrix.cols, matrix.nnz))
+            for i in range(matrix.rows):
+                s, e = matrix.indptr[i], matrix.indptr[i + 1]
+                for idx in range(s, e):
+                    out.append("%d %d %.17g" % (i + 1, matrix.indices[idx] + 1,
+                                                float(matrix.data[idx])))
+        else:
+            dense = matrix.dense_view()
+            out.append("%%MatrixMarket matrix array real general")
+            out.append("%d %d" % matrix.shape)
+            for j in range(matrix.cols):
+                for i in range(matrix.rows):
+                    out.append("%.17g" % float(dense[i, j]))
+    else:
+        dense = matrix.dense_view()
+        for i in range(matrix.rows):
+            out.append(",".join("%.17g" % float(x) for x in dense[i, :]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def _writer_cases():
+    rng = make_rng(90)
+    dense = rng.uniform(size=(7, 5)) * 10.0 ** rng.integers(-9, 9, (7, 5))
+    dense[2, 3] = -0.0
+    dense[4, :3] = [1e-300, 1e300, 5e-324]
+    # rows 0 and 5 have no stored entry; row 6 stores an explicit -0.0
+    sparse = DataMatrix.from_coo([1, 1, 2, 3, 4, 4, 6], [0, 4, 2, 1, 0, 3, 2],
+                                 [0.1, 1e300, 1e-300, 2.5, 1 / 3, 7.0, -0.0],
+                                 (7, 5))
+    return [("dense", DataMatrix.dense(dense)), ("row", dense[:1]),
+            ("column", dense[:, :1]), ("csr", sparse)]
+
+
+class TestMatrixWriterOracle:
+    @pytest.mark.parametrize("suffix", [".mtx", ".csv"])
+    @pytest.mark.parametrize("name,matrix", _writer_cases(),
+                             ids=[case[0] for case in _writer_cases()])
+    def test_bytes_match_per_element_writer(self, tmp_path, suffix, name,
+                                            matrix):
+        got, want = tmp_path / ("got" + suffix), tmp_path / ("want" + suffix)
+        write_matrix(matrix, got)
+        per_element_write(matrix, want)
+        assert got.read_bytes() == want.read_bytes()

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_nonneg, to_csr
-from nmfkit.errors import DegenerateError, MetricError, RankError
+from nmfkit.errors import (DegenerateError, MetricError, OutOfMemoryError,
+                           RankError)
 from nmfkit.factor import FactorModel
 from nmfkit.matcore import frobenius_sq
-from nmfkit.quality import (ConsensusAccumulator, connectivity, consensus,
-                            cophenetic, dispersion, distance, evar,
-                            feature_scores, fit_summary, rss, select_features,
-                            sparseness, sparseness_vector,
+from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
+                            distance, evar, feature_scores, fit_summary, rss,
+                            select_features, sparseness, sparseness_vector,
                             _average_linkage_cophenetic)
 
 
@@ -173,18 +173,13 @@ class TestConnectivity:
 class TestConsensus:
     def test_identical_runs_crisp(self):
         h = np.array([[0.9, 0.1, 0.8], [0.1, 0.9, 0.2]])
-        acc = ConsensusAccumulator.empty(3)
-        for _ in range(5):
-            acc.add(connectivity(h))
-        cons = consensus(acc)
+        cons = consensus([h] * 5)
         assert set(np.unique(cons)) <= {0.0, 1.0}
         assert dispersion(cons) == pytest.approx(1.0)
         assert cophenetic(cons) == pytest.approx(1.0)
 
     def test_single_cluster_consensus(self):
-        acc = ConsensusAccumulator.empty(3)
-        acc.add(connectivity(np.array([[1.0, 1.0, 1.0]])))
-        cons = consensus(acc)
+        cons = consensus([np.array([[1.0, 1.0, 1.0]])])
         np.testing.assert_array_equal(cons, np.ones((3, 3)))
         assert cophenetic(cons) == 1.0
 
@@ -196,19 +191,21 @@ class TestConsensus:
     def test_one_pair_disagreement_averages_to_half(self):
         h1 = np.array([[0.9, 0.8, 0.1], [0.1, 0.2, 0.9]])  # {0,1}, {2}
         h2 = np.array([[0.9, 0.1, 0.1], [0.1, 0.9, 0.9]])  # {0}, {1,2}
-        acc = ConsensusAccumulator.empty(3)
-        acc.add(connectivity(h1))
-        acc.add(connectivity(h2))
-        cons = consensus(acc)
+        cons = consensus([h1, h2])
         assert cons[0, 1] == 0.5 and cons[1, 2] == 0.5
 
     def test_cophenetic_needs_three_samples(self):
         with pytest.raises(DegenerateError):
             cophenetic(np.eye(2))
 
-    def test_empty_accumulator_rejected(self):
+    def test_empty_list_rejected(self):
         with pytest.raises(DegenerateError):
-            consensus(ConsensusAccumulator.empty(3))
+            consensus([])
+
+    def test_mean_of_connectivity(self):
+        hs = [make_rng(60 + i).uniform(size=(3, 9)) for i in range(7)]
+        want = np.mean([connectivity(h) for h in hs], axis=0)
+        np.testing.assert_array_equal(consensus(hs), want)
 
 
 class TestCopheneticAgainstScipy:
@@ -276,11 +273,11 @@ class TestLinkageAgainstReference:
     def test_tie_heavy_consensus(self, seed):
         rng = make_rng(100 + seed)
         n = int(rng.integers(3, 61))
-        acc = ConsensusAccumulator.empty(n)
+        hs = []
         for _ in range(int(rng.integers(1, 7))):
             k = int(rng.integers(2, 5))
-            acc.add(connectivity(np.eye(k)[:, rng.integers(0, k, size=n)]))
-        dist = 1.0 - consensus(acc)
+            hs.append(np.eye(k)[:, rng.integers(0, k, size=n)])
+        dist = 1.0 - consensus(hs)
         assert np.array_equal(_average_linkage_cophenetic(dist),
                               reference_average_linkage_cophenetic(dist))
 
@@ -329,3 +326,18 @@ class TestFitSummary:
         assert s.evar == evar(v, m)
         with pytest.raises(DegenerateError):
             fit_summary(np.zeros((7, 5)), m)
+
+    def test_memory_error_is_typed(self, monkeypatch):
+        import nmfkit.quality as quality_mod
+        rng = make_rng(11)
+        v = random_nonneg(rng, 7, 5)
+        m = model_of(rng.uniform(size=(7, 2)), rng.uniform(size=(2, 5)))
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(quality_mod, "kl_div", exhausted)
+        with pytest.raises(OutOfMemoryError, match="rank-2 fit of a 7x5 "
+                                                   "matrix") as info:
+            fit_summary(v, m)
+        assert info.value.kind == "memory"

@@ -186,12 +186,18 @@ class TestSeedFixed:
 
 class TestSeedSpec:
     def test_from_name_variants(self):
-        assert SeedSpec.from_name("nndsvda").variant == "a"
-        assert SeedSpec.from_name("nndsvdar").variant == "ar"
-        assert SeedSpec.from_name("random").kind == "random"
         for name in SEED_METHOD_NAMES:
-            spec = SeedSpec.from_name(name)
-            assert spec.name == name
+            assert SeedSpec.from_name(name).kind == name
+
+    @pytest.mark.parametrize("name,variant", [("nndsvd", "none"),
+                                              ("nndsvda", "a"),
+                                              ("nndsvdar", "ar")])
+    def test_nndsvd_kinds_select_the_variant(self, name, variant):
+        v = random_nonneg(make_rng(70), 9, 7)
+        got = seed_factors(v, 3, SeedSpec(name), RngStream(5))
+        want = seed_nndsvd(v, 3, variant, RngStream(5))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
     def test_unknown_name(self):
         with pytest.raises(SeedError):
