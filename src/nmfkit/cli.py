@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 import warnings
@@ -25,28 +26,25 @@ from .quality import fit_summary
 from .seeding import SEED_METHOD_NAMES, SeedSpec
 
 
-# the FitSummary fields written to summary.json (final_objective is not)
-_FIT_FIELDS = ("n_iter", "rss", "evar", "dist_euclidean", "dist_kl",
-               "sparseness_w", "sparseness_h")
-
-
 class UsageError(Exception):
     pass
 
 
 def _at_least(low, cast):
-    """An argparse type: the text read by `cast`, refused below `low`."""
+    """An argparse type: `cast(text)`, refused below `low` or if not finite."""
     def parse(text):
         value = cast(text)
-        if value < low:
-            raise argparse.ArgumentTypeError("must be at least %s" % (low,))
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError("must be finite and at least %s"
+                                             % (low,))
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
     return parse
 
 
-_PARAM_TYPES = {f.name: f.type for f in dataclasses.fields(ParamSet)}
-_INT_PARAMS = {"lambda_period", "burn_in", "inner_max_iter"}
+# the cast of each ParamSet field, from its annotation ("int | None" is int)
+_PARAM_TYPES = {f.name: int if f.type.startswith("int") else float
+                for f in dataclasses.fields(ParamSet)}
 
 
 def _parse_params(pairs) -> ParamSet:
@@ -59,7 +57,7 @@ def _parse_params(pairs) -> ParamSet:
             raise UsageError("unknown method parameter %r (known: %s)"
                              % (key, ", ".join(sorted(_PARAM_TYPES))))
         try:
-            parsed = int(value) if key in _INT_PARAMS else float(value)
+            parsed = _PARAM_TYPES[key](value)
         except ValueError:
             raise UsageError("parameter %s has a non-numeric value %r"
                              % (key, value)) from None
@@ -98,8 +96,6 @@ def _add_common_io_flags(p):
     p.add_argument("--input", required=True, help="input matrix (.mtx or .csv)")
     p.add_argument("--input-format", choices=("mtx", "csv"),
                    help="override format inference from the extension")
-    p.add_argument("--allow-negative", action="store_true",
-                   help="accept negative entries at read time")
 
 
 def _add_factorize_flags(p, with_rank=True):
@@ -107,7 +103,9 @@ def _add_factorize_flags(p, with_rank=True):
     p.add_argument("--method", required=True, choices=METHODS)
     if with_rank:
         p.add_argument("--rank", required=True, type=_at_least(1, int))
-    p.add_argument("--seed", default="random_vcol", choices=SEED_METHOD_NAMES)
+    # no flag supplies W0 and H0, so `fixed` seeding is library-only
+    p.add_argument("--seed", default="random_vcol",
+                   choices=[s for s in SEED_METHOD_NAMES if s != "fixed"])
     p.add_argument("--max-iter", type=_at_least(1, int), default=200)
     p.add_argument("--min-delta", type=_at_least(0.0, float), default=1e-5,
                    help="relative objective improvement below which to stop")
@@ -137,7 +135,7 @@ def _build_config(args, rank) -> FactorConfig:
 
 
 def _read_input(args) -> DataMatrix:
-    v = read_matrix(args.input, args.input_format, args.allow_negative)
+    v = read_matrix(args.input, args.input_format)
     if args.scale_unit:
         v = _scale_unit(v)
     return v
@@ -157,9 +155,9 @@ def cmd_factorize(args) -> int:
     write_matrix(DataMatrix.dense(model.H), outdir / "H.mtx")
     payload = {"schema_version": "2", "method": config.method,
                "rank": config.rank, "seed_method": args.seed,
-               "max_iter": config.max_iter,
+               "max_iter": config.max_iter, "n_iter": model.n_iter,
                "warnings": [str(w.message) for w in caught]}
-    payload.update((key, getattr(summary, key)) for key in _FIT_FIELDS)
+    payload.update(dataclasses.asdict(summary))
     if config.track_error:
         payload["objective_trace"] = trace.objective_per_iter
     write_summary(payload, outdir / "summary.json")
@@ -222,7 +220,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    v = read_matrix(args.input, args.input_format, allow_negative=True)
+    v = read_matrix(args.input, args.input_format)
     write_matrix(v, args.output, args.to)
     print("wrote %s" % (args.output,))
     return 0

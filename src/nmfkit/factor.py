@@ -67,9 +67,12 @@ class ParamSet:
     armijo_sigma: float = 0.01
 
 
-# the allowed interval of each ParamSet field (eta and burn_in may also be
-# None); no interval admits NaN or an infinity
+# the allowed interval of each FactorConfig setting and ParamSet field (eta
+# and burn_in may also be None); no interval admits NaN or an infinity
 _PARAM_RANGES = {
+    "max_iter": "[1, inf)", "min_residual_delta": "[0, inf)",
+    "conn_change": "[0, inf)", "track_factors": "[0, inf)",
+    "master_seed": "[0, inf)",
     "theta": "[0, 1]", "eta": "[0, inf)", "beta": "[0, inf)",
     "lambda0": "(0, inf)", "lambda_growth": "[1, inf)",
     "lambda_period": "[1, inf)", "alpha_rate": "[0, inf)",
@@ -79,14 +82,16 @@ _PARAM_RANGES = {
     "armijo_sigma": "(0, 1)"}
 
 
-def _check_params(params: ParamSet):
+def _check_ranges(config: FactorConfig):
     for name, interval in _PARAM_RANGES.items():
-        x = getattr(params, name)
+        is_param = hasattr(config.params, name)
+        x = getattr(config.params if is_param else config, name)
         low, high = (float(b) for b in interval[1:-1].split(", "))
         if x is not None and not ((low < x if interval[0] == "(" else low <= x)
                 and (x < high if interval[-1] == ")" else x <= high)):
-            raise ParamError("method parameter %s must be finite and lie in "
-                             "%s, got %r" % (name, interval, x))
+            raise ParamError("%s%s must be finite and lie in %s, got %r"
+                             % ("method parameter " if is_param else "",
+                                name, interval, x))
 
 
 @dataclass
@@ -111,7 +116,6 @@ class FactorModel:
     theta: float | None
     n_iter: int
     final_objective: float
-    objective_kind: str
 
 
 @dataclass
@@ -488,7 +492,8 @@ def factorize(v, config: FactorConfig):
     conn_change > 0).
     The Gibbs sampler ignores the two early-stopping rules and always runs
     max_iter sweeps, since its objective trace is stochastic rather than
-    descending.  Running out of memory raises OutOfMemoryError.
+    descending.  A negative or non-finite V raises DomainError, a setting
+    outside _PARAM_RANGES ParamError, running out of memory OutOfMemoryError.
     """
     v = as_matrix(v)
     v.require_model_input("V")
@@ -500,11 +505,7 @@ def factorize(v, config: FactorConfig):
     if not 1 <= config.rank <= min(m, n):
         raise RankError("rank %d out of range [1, %d]"
                         % (config.rank, min(m, n)))
-    if config.max_iter < 1:
-        raise ParamError("max_iter must be at least 1")
-    if config.min_residual_delta < 0:
-        raise ParamError("min_residual_delta must be nonnegative")
-    _check_params(params)
+    _check_ranges(config)
     values = v.data if v.is_sparse else v.dense_view()
     peak = float(np.max(values)) if values.size else 0.0
     if method == "bmf" and peak > 1.0:
@@ -542,7 +543,7 @@ def _run(v, config: FactorConfig, eta: float):
             return bmf_objective(v, w, h, lam_of(max(it, 1)))
         if kind == "penalized":
             return snmf_objective(v, w, h, method[-1], eta, params.beta)
-        model = FactorModel(w, h, method, theta, it, 0.0, kind)
+        model = FactorModel(w, h, method, theta, it, 0.0)
         return objective(v, model, kind)
 
     obj_prev = current_objective(0)
@@ -606,6 +607,6 @@ def _run(v, config: FactorConfig, eta: float):
         obj = _residual_sq(v, w, h)
 
     model = FactorModel(W=w, H=h, method=method, theta=theta, n_iter=n_iter,
-                        final_objective=obj, objective_kind=kind)
+                        final_objective=obj)
     trace = RunTrace(objective_per_iter=trace_obj, factor_snapshots=snapshots)
     return model, trace

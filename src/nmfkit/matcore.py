@@ -380,8 +380,6 @@ class RngStream:
     use independent streams (see :func:`derive_seed`).
     """
 
-    ALGORITHM = "pcg64"
-
     def __init__(self, seed: int):
         if seed < 0:
             raise ParamError("rng seed must be a nonnegative integer")
@@ -422,7 +420,9 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
     The mixing function is numpy's SeedSequence entropy pool, which is
     documented, stable, and collision-resistant; the same tuple always
-    yields the same derived seed.
+    yields the same derived seed.  A negative entry raises ParamError.
     """
+    if min((master_seed,) + key) < 0:
+        raise ParamError("master seed and keys must be nonnegative integers")
     ss = np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
     return int(ss.generate_state(1, np.uint64)[0])

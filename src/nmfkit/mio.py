@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, IoError, ParamError, ParseError, out_of_memory
+from .errors import IoError, ParamError, ParseError, out_of_memory
 from .matcore import DataMatrix, RngStream, as_matrix
 
 FORMATS = ("mtx", "csv")
@@ -42,13 +42,7 @@ def _parse_float(token, lineno):
     return value
 
 
-def _check_sign(values, allow_negative):
-    if not allow_negative and values.size and float(np.min(values)) < 0:
-        raise DomainError("matrix has negative entries "
-                          "(pass allow_negative to accept them)")
-
-
-def _read_mtx(lines, allow_negative):
+def _read_mtx(lines):
     if not lines:
         raise ParseError("line 1: empty MatrixMarket file")
     header = lines[0].strip().split()
@@ -101,9 +95,7 @@ def _read_mtx(lines, allow_negative):
             rows.append(i - 1)
             cols.append(j - 1)
             vals.append(_parse_float(parts[2], no))
-        values = np.asarray(vals, dtype=np.float64)
-        _check_sign(values, allow_negative)
-        return DataMatrix.from_coo(rows, cols, values, (m, n))
+        return DataMatrix.from_coo(rows, cols, vals, (m, n))
 
     vals = []
     for no, ln in entries:
@@ -113,11 +105,10 @@ def _read_mtx(lines, allow_negative):
         raise ParseError("entry count %d does not match %d x %d"
                          % (len(vals), m, n))
     dense = np.asarray(vals, dtype=np.float64).reshape((n, m)).T  # column-major
-    _check_sign(dense, allow_negative)
     return DataMatrix.dense(dense)
 
 
-def _read_csv(lines, allow_negative):
+def _read_csv(lines):
     rows = []
     start = 0
     stripped = [ln.strip() for ln in lines]
@@ -143,18 +134,16 @@ def _read_csv(lines, allow_negative):
                              % (no, width, len(fields)))
         rows.append([_parse_float(tok, no) for tok in fields])
     dense = np.asarray(rows, dtype=np.float64)
-    _check_sign(dense, allow_negative)
     return DataMatrix.dense(dense)
 
 
-def read_matrix(path, fmt: str | None = None,
-                allow_negative: bool = False) -> DataMatrix:
+def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     """Read a matrix file; format inferred from the extension if not given.
 
     MatrixMarket `coordinate` becomes CSR, `array` and CSV become dense.
-    Negative entries are rejected unless allow_negative is set (model
-    inputs must be nonnegative); NaN/Inf tokens always fail the parse.
-    Running out of memory raises OutOfMemoryError.
+    Negative entries are kept (`factorize` refuses them as model input);
+    NaN/Inf tokens fail the parse.  Running out of memory raises
+    OutOfMemoryError.
     """
     fmt = _infer_format(path, fmt)
     with out_of_memory("reading %s" % (path,)):
@@ -164,8 +153,8 @@ def read_matrix(path, fmt: str | None = None,
         except OSError as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
         if fmt == "mtx":
-            return _read_mtx(lines, allow_negative)
-        return _read_csv(lines, allow_negative)
+            return _read_mtx(lines)
+        return _read_csv(lines)
 
 
 def write_matrix(matrix, path, fmt: str | None = None) -> None:
@@ -226,8 +215,8 @@ def synth(m: int, n: int, k_true: int, noise_sigma: float = 0.0,
         raise ParamError("k_true %d out of range [1, %d]" % (k_true, min(m, n)))
     if not 0 < density <= 1:
         raise ParamError("density must lie in (0, 1]")
-    if noise_sigma < 0:
-        raise ParamError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParamError("noise_sigma must be finite and nonnegative")
     rng = RngStream(seed)
     row_block = (np.arange(m) * k_true) // m
     col_block = (np.arange(n) * k_true) // n

@@ -24,14 +24,13 @@ from .matcore import EPS, as_matrix, frobenius_sq, kl_div
 
 @dataclass
 class FitSummary:
+    """The fit measures of a model against V; n_iter stays on the model."""
     rss: float
     evar: float
     dist_euclidean: float
     dist_kl: float
     sparseness_w: float
     sparseness_h: float
-    n_iter: int
-    final_objective: float
 
 
 def rss(v, model: FactorModel) -> float:
@@ -222,6 +221,4 @@ def fit_summary(v, model: FactorModel, sparseness_axis: str = "columns") -> FitS
             dist_euclidean=math.sqrt(r),
             dist_kl=distance(v, model, "kl"),
             sparseness_w=sp_w,
-            sparseness_h=sp_h,
-            n_iter=model.n_iter,
-            final_objective=model.final_objective)
+            sparseness_h=sp_h)

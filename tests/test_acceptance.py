@@ -163,7 +163,7 @@ def test_c06_quality_identities():
         if not v.any():
             v[0, 0] = 1.0
         model = FactorModel(rng.uniform(size=(m, k)), rng.uniform(size=(k, n)),
-                            "nmf-eu", None, 1, 0.0, "euclidean")
+                            "nmf-eu", None, 1, 0.0)
         r = rss(v, model)
         assert evar(v, model) == 1.0 - r / frobenius_sq(v)
         d = distance(v, model, "euclidean")
@@ -318,7 +318,7 @@ def test_c11_io_roundtrips(tmp_path):
         for fmt in ("mtx", "csv"):
             path = tmp_path / ("case%d.%s" % (case, fmt))
             write_matrix(matrix, path, fmt)
-            back = read_matrix(path, fmt, allow_negative=True)
+            back = read_matrix(path, fmt)
             assert back.shape == matrix.shape
             np.testing.assert_allclose(back.to_dense(), dense, atol=1e-15,
                                        rtol=0)

@@ -73,6 +73,13 @@ class TestExitCodes:
                                 extra=["--param", "warp=1"])
         assert code == 2
 
+    def test_param_values_take_the_field_type(self):
+        # the casts follow ParamSet's annotations ("int | None" is int)
+        params = cli_mod._parse_params(["burn_in=3", "theta=1"])
+        assert type(params.burn_in) is int and type(params.theta) is float
+        with pytest.raises(cli_mod.UsageError, match="inner_max_iter"):
+            cli_mod._parse_params(["inner_max_iter=2.5"])
+
     @pytest.mark.parametrize("method, param", [
         ("lsnmf", "armijo_beta=0"),  # was a ZeroDivisionError traceback
         ("bd", "sigma_shape=-200"),  # was numpy's "shape < 0" ValueError
@@ -87,6 +94,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error (param): method parameter %s "
                               % param.split("=")[0])
+
+    @pytest.mark.parametrize("extra", [
+        ["--allow-negative"],    # V >= 0 is checked by factorize alone
+        ["--seed", "fixed"],     # no flag supplies W0 and H0
+        ["--min-delta", "nan"],  # ran to --max-iter and exited 0
+        ["--min-delta", "inf"],
+    ])
+    def test_removed_or_non_finite_flag_is_usage_error(self, tmp_path,
+                                                       small_matrix, extra):
+        code, outdir = run_factorize(tmp_path, small_matrix, extra=extra)
+        assert code == 2
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, rank", [
+        ("factorize", ["--rank", "1"]),
+        ("rank-estimate", ["--ranks", "1..2"])])
+    def test_negative_input_is_domain_error(self, tmp_path, capsys, command,
+                                            rank):
+        path = tmp_path / "neg.csv"
+        path.write_text("1,2,3\n4,-5,6\n7,8,9\n")
+        outdir = tmp_path / "out"
+        code = main([command, "--input", str(path), "--method", "nmf-eu",
+                     *rank, "--output-dir", str(outdir)])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error (domain): V contains negative entries\n")
+        assert not outdir.exists()
 
     def test_dense_view_out_of_memory_exits_1(self, tmp_path, monkeypatch,
                                               capsys):
@@ -319,6 +353,14 @@ class TestSynthAndConvert:
     def test_convert_unsupported_target(self, tmp_path, small_matrix):
         assert main(["convert", "--input", str(small_matrix), "--output",
                      str(tmp_path / "x.h5"), "--to", "hdf5"]) == 2
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, noise):
+        # nan wrote a noise-free matrix and exited 0
+        out = tmp_path / "V.mtx"
+        assert main(["synth", "--rows", "4", "--cols", "4", "--rank", "2",
+                     "--noise", noise, "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_synth_rank_too_large_is_runtime_error(self, tmp_path):
         code = main(["synth", "--rows", "4", "--cols", "4", "--rank", "9",

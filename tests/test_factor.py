@@ -328,27 +328,27 @@ class TestObjective:
     def test_exact_model_zero(self):
         rng = make_rng(16)
         v, w0, h0 = exact_instance(rng)
-        model = FactorModel(w0, h0, "nmf-eu", None, 1, 0.0, "euclidean")
+        model = FactorModel(w0, h0, "nmf-eu", None, 1, 0.0)
         assert objective(v, model, "euclidean") == pytest.approx(0.0, abs=1e-22)
         assert objective(v, model, "kl") == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_euclidean(self):
         model = FactorModel(np.array([[1.0]]), np.array([[1.0]]),
-                            "nmf-eu", None, 1, 0.0, "euclidean")
+                            "nmf-eu", None, 1, 0.0)
         assert objective(np.array([[2.0]]), model, "euclidean") == 1.0
 
     def test_nsnmf_reconstruction_uses_smoothing(self):
         rng = make_rng(17)
         w = rng.uniform(size=(5, 3))
         h = rng.uniform(size=(3, 4))
-        model = FactorModel(w, h, "nsnmf", 0.4, 1, 0.0, "kl")
+        model = FactorModel(w, h, "nsnmf", 0.4, 1, 0.0)
         s = nsnmf_smoothing(0.4, 3)
         expected = matmul(matmul(w, s), h)
         np.testing.assert_allclose(reconstruct(model), expected, rtol=1e-12)
 
     def test_unknown_kind(self):
         model = FactorModel(np.ones((1, 1)), np.ones((1, 1)),
-                            "nmf-eu", None, 1, 0.0, "euclidean")
+                            "nmf-eu", None, 1, 0.0)
         with pytest.raises(ParamError):
             objective(np.ones((1, 1)), model, "cosine")
 
@@ -424,6 +424,16 @@ class TestFactorize:
         cfg = FactorConfig(method="nmf-eu", rank=1,
                            params=ParamSet(**{name: value}))
         with pytest.raises(ParamError, match="parameter %s " % name):
+            factorize(np.ones((3, 3)), cfg)
+
+    @pytest.mark.parametrize("name, value", [
+        ("conn_change", -1),  # silently turned the connectivity rule off
+        ("track_factors", -1), ("min_residual_delta", float("nan")),
+        ("max_iter", 0), ("master_seed", -1)])
+    def test_out_of_range_setting(self, name, value):
+        # FactorConfig's settings share ParamSet's range table
+        cfg = FactorConfig(method="nmf-eu", rank=1, **{name: value})
+        with pytest.raises(ParamError, match="^%s must be finite " % name):
             factorize(np.ones((3, 3)), cfg)
 
     def test_memory_error_is_typed(self, monkeypatch):

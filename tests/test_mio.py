@@ -11,6 +11,7 @@ from conftest import make_rng, sparsify, to_csr
 import nmfkit.mio as mio_mod
 from nmfkit.errors import (DomainError, IoError, OutOfMemoryError, ParamError,
                            ParseError)
+from nmfkit.factor import FactorConfig, factorize
 from nmfkit.matcore import DataMatrix
 from nmfkit.mio import read_matrix, synth, write_matrix, write_summary
 
@@ -75,14 +76,15 @@ class TestReadMtx:
         with pytest.raises(ParseError):
             read_matrix(path)
 
-    def test_negative_entry_rejected_by_default(self, tmp_path):
+    def test_negative_entry_kept_until_factorize(self, tmp_path):
+        # V >= 0 is a rule of the model input, checked by factorize alone
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "1 1 1\n1 1 -2.0\n")
-        with pytest.raises(DomainError):
-            read_matrix(path)
-        m = read_matrix(path, allow_negative=True)
+        m = read_matrix(path)
         assert m.to_dense()[0, 0] == -2.0
+        with pytest.raises(DomainError, match="negative"):
+            factorize(m, FactorConfig(method="nmf-eu", rank=1))
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
@@ -148,7 +150,7 @@ class TestRoundtrips:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.mtx"
             write_matrix(DataMatrix.dense(arr), path)
-            back = read_matrix(path, allow_negative=True)
+            back = read_matrix(path)
         np.testing.assert_array_equal(back.to_dense(), arr)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -171,7 +173,7 @@ class TestRoundtrips:
         path = tmp_path / "m.csv"
         write_matrix(DataMatrix.dense(arr), path)
         np.testing.assert_array_equal(
-            read_matrix(path, allow_negative=True).to_dense(), arr)
+            read_matrix(path).to_dense(), arr)
 
 
 class TestSummary:
@@ -241,3 +243,6 @@ class TestSynth:
             synth(4, 4, 2, density=0.0)
         with pytest.raises(ParamError):
             synth(4, 4, 2, noise_sigma=-1.0)
+        for sigma in (float("nan"), float("inf")):  # nan gave noise-free data
+            with pytest.raises(ParamError, match="noise_sigma"):
+                synth(4, 4, 2, noise_sigma=sigma)

@@ -56,6 +56,11 @@ class TestRunMany:
         with pytest.raises(ParamError):
             run_many(np.ones((3, 3)), base_config(), runs=0, master_seed=0)
 
+    def test_negative_master_seed_is_param_error(self):
+        # was numpy's "expected non-negative integer" ValueError
+        with pytest.raises(ParamError, match="master seed"):
+            run_many(np.ones((3, 3)), base_config(), runs=2, master_seed=-1)
+
 
 class TestRankSweep:
     def test_single_rank_record(self):
@@ -96,6 +101,12 @@ class TestRankSweep:
         sweep = RankSweepConfig(ranks=[9], runs_per_rank=3,
                                 base=base_config(), master_seed=0)
         with pytest.raises(RankError):
+            rank_sweep(np.ones((4, 4)), sweep)
+
+    def test_negative_master_seed_is_param_error(self):
+        sweep = RankSweepConfig(ranks=[2], runs_per_rank=2,
+                                base=base_config(), master_seed=-1)
+        with pytest.raises(ParamError, match="master seed"):
             rank_sweep(np.ones((4, 4)), sweep)
 
     def test_single_run_warns(self):

@@ -17,7 +17,7 @@ from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
 
 def model_of(w, h):
     return FactorModel(np.asarray(w, float), np.asarray(h, float),
-                       "nmf-eu", None, 1, 0.0, "euclidean")
+                       "nmf-eu", None, 1, 0.0)
 
 
 class TestRssEvar:
