@@ -2,24 +2,25 @@
 """Run the benchmark on another git revision and on this checkout in
 alternating pairs, and write the end-to-end metrics of both as JSON.
 
-    python3 scripts/bench_pairs.py REF --out BENCH_<n>.json [--pairs 5]
-                                   [--seconds 22] [--workloads cli-dense,...]
+    python3 scripts/bench_pairs.py REF --out BENCH_<n>.json
 
 REF (for example HEAD~) is unpacked with `git archive` into a temporary
-directory.  For each workload and pair i, both trees run
+directory.  For every workload of BENCHMARK.json and pair i of ten, both
+trees run
 
     python3 nmfbench/run.py --workload W --seed i --seconds S --trace 0
 
-one after the other; odd pairs run REF first, even pairs this checkout
-first, so a drift of the host's speed over the runs hits both sides.
-Runs go one at a time, never in parallel.  The JSON holds, per workload
-and end-to-end metric, the [Q1, median, Q3] of REF ("parent") and of this
-checkout ("change") from statistics.quantiles(n=4), the relative change of
-the median next to the bound in BENCHMARK.json, and how many pairs the
-change won; then every run's seed, exit code, `correct`, `failed` and
-metric values; and one host line.  The exit code is 1 when any run exited
-non-zero, failed a check or failed an operation.  Standard library only;
-not part of check.sh or CI, since a full set of pairs takes many minutes.
+one after the other, S being BENCHMARK.json's run_seconds; odd pairs run
+REF first, even pairs this checkout first, so a drift of the host's speed
+over the runs hits both sides.  Runs go one at a time, never in parallel.
+The JSON holds, per workload and end-to-end metric, the [Q1, median, Q3]
+of REF ("parent") and of this checkout ("change") from
+statistics.quantiles(n=4), the relative change of the median next to the
+bound in BENCHMARK.json, and how many pairs the change won; then every
+run's seed, exit code, `correct`, `failed` and metric values; and one host
+line.  The exit code is 1 when any run exited non-zero, failed a check or
+failed an operation.  Standard library only; not part of check.sh or CI,
+since a full set of pairs takes about an hour.
 """
 
 from __future__ import annotations
@@ -39,29 +40,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cli-dense", "sparse-kl", "rank-sweep", "method-suite")
+PAIRS = 10
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def parse_args(argv=None):
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float,
-                        default=bench["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma list of workloads")
     parser.add_argument("--out", required=True,
                         help="JSON file to write, e.g. BENCH_<n>.json")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
-    args.workloads = args.workloads.split(",")
-    unknown = sorted(set(args.workloads) - set(WORKLOADS))
-    if unknown:
-        parser.error("unknown workloads: %s" % ", ".join(unknown))
-    args.bounds = {m["name"]: m for m in bench["end_to_end"]}
-    return args
+    return parser.parse_args(argv)
 
 
 def git(*argv):
@@ -142,32 +130,34 @@ def host_line():
 
 def main(argv=None):
     args = parse_args(argv)
+    seconds = BENCH["run_seconds"]
+    bounds = {m["name"]: m for m in BENCH["end_to_end"]}
     dirty = git("status", "--porcelain", "--untracked-files=no").strip()
     report = {"ref": args.ref,
               "ref_commit": git("rev-parse", args.ref).decode().strip(),
               "change": "the checkout at %s%s" % (
                   git("rev-parse", "HEAD").decode().strip(),
                   " with uncommitted changes" if dirty else ""),
-              "seconds": args.seconds, "pairs": args.pairs,
+              "seconds": seconds, "pairs": PAIRS,
               "host": host_line(), "workloads": {}}
     all_ok = True
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": unpack(args.ref, Path(tmp)), "change": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in BENCH["workloads"]):
             print("%s:" % workload, file=sys.stderr)
             runs = {"parent": [], "change": []}
-            seeds = list(range(args.pairs))
+            seeds = list(range(PAIRS))
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 else ("change",
                                                               "parent")
                 for side in order:
                     runs[side].append(run_once(side, trees[side], workload,
-                                               seed, args.seconds))
+                                               seed, seconds))
             all_ok &= all(ok(r) for side in runs.values() for r in side)
             report["workloads"][workload] = {
                 "seeds": seeds,
                 "metrics": summarize(runs["parent"], runs["change"],
-                                     args.bounds),
+                                     bounds),
                 "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -69,10 +69,10 @@ class ParamSet:
 
 # the allowed interval of each FactorConfig setting and ParamSet field (eta
 # and burn_in may also be None); no interval admits NaN or an infinity
-_PARAM_RANGES = {
+_SETTING_RANGES = {
     "max_iter": "[1, inf)", "min_residual_delta": "[0, inf)",
-    "conn_change": "[0, inf)", "track_factors": "[0, inf)",
-    "master_seed": "[0, inf)",
+    "conn_change": "[0, inf)", "track_factors": "[0, inf)"}
+_PARAM_RANGES = {
     "theta": "[0, 1]", "eta": "[0, inf)", "beta": "[0, inf)",
     "lambda0": "(0, inf)", "lambda_growth": "[1, inf)",
     "lambda_period": "[1, inf)", "alpha_rate": "[0, inf)",
@@ -83,15 +83,16 @@ _PARAM_RANGES = {
 
 
 def _check_ranges(config: FactorConfig):
-    for name, interval in _PARAM_RANGES.items():
-        is_param = hasattr(config.params, name)
-        x = getattr(config.params if is_param else config, name)
-        low, high = (float(b) for b in interval[1:-1].split(", "))
-        if x is not None and not ((low < x if interval[0] == "(" else low <= x)
-                and (x < high if interval[-1] == ")" else x <= high)):
-            raise ParamError("%s%s must be finite and lie in %s, got %r"
-                             % ("method parameter " if is_param else "",
-                                name, interval, x))
+    for record, prefix, ranges in ((config, "", _SETTING_RANGES), (
+            config.params, "method parameter ", _PARAM_RANGES)):
+        for name, interval in ranges.items():
+            x = getattr(record, name)
+            low, high = (float(b) for b in interval[1:-1].split(", "))
+            if x is not None and not (
+                    (low < x if interval[0] == "(" else low <= x)
+                    and (x < high if interval[-1] == ")" else x <= high)):
+                raise ParamError("%s%s must be finite and lie in %s, got %r"
+                                 % (prefix, name, interval, x))
 
 
 @dataclass
@@ -493,7 +494,7 @@ def factorize(v, config: FactorConfig):
     The Gibbs sampler ignores the two early-stopping rules and always runs
     max_iter sweeps, since its objective trace is stochastic rather than
     descending.  A negative or non-finite V raises DomainError, a setting
-    outside _PARAM_RANGES ParamError, running out of memory OutOfMemoryError.
+    outside its range ParamError, running out of memory OutOfMemoryError.
     """
     v = as_matrix(v)
     v.require_model_input("V")

@@ -141,9 +141,8 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     """Read a matrix file; format inferred from the extension if not given.
 
     MatrixMarket `coordinate` becomes CSR, `array` and CSV become dense.
-    Negative entries are kept (`factorize` refuses them as model input);
-    NaN/Inf tokens fail the parse.  Running out of memory raises
-    OutOfMemoryError.
+    Negative entries are kept (`factorize` refuses them); NaN/Inf tokens
+    fail the parse.  Running out of memory raises OutOfMemoryError.
     """
     fmt = _infer_format(path, fmt)
     with out_of_memory("reading %s" % (path,)):

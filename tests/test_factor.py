@@ -429,7 +429,7 @@ class TestFactorize:
     @pytest.mark.parametrize("name, value", [
         ("conn_change", -1),  # silently turned the connectivity rule off
         ("track_factors", -1), ("min_residual_delta", float("nan")),
-        ("max_iter", 0), ("master_seed", -1)])
+        ("max_iter", 0)])
     def test_out_of_range_setting(self, name, value):
         # FactorConfig's settings share ParamSet's range table
         cfg = FactorConfig(method="nmf-eu", rank=1, **{name: value})
