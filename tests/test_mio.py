@@ -138,6 +138,210 @@ class TestReadCsv:
                                       [[1.0, 2.0]])
 
 
+MTX_COORD = "%%MatrixMarket matrix coordinate real general\n"
+MTX_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+class TestReaderErrors:
+    """The exact text of every reader ParseError.  The first faulty line in
+    file order wins; within a line the checks run in the order field
+    count, indices, bounds, duplicate, number, finite."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("m.mtx", "", "line 1: empty MatrixMarket file"),
+        ("m.mtx", "%%MatrixMarket tensor coordinate real general\n1 1 0\n",
+         "line 1: malformed MatrixMarket header"),
+        ("m.mtx", "%%MatrixMarket matrix diagonal real general\n1 1 0\n",
+         "line 1: unsupported layout 'diagonal'"),
+        ("m.mtx", "%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
+         "line 1: only 'real general' matrices are supported"),
+        ("m.mtx", MTX_COORD + "% only a comment\n\n", "missing size line"),
+        ("m.mtx", MTX_COORD + "\n2 2\n",
+         "line 3: coordinate size line needs 'rows cols nnz'"),
+        ("m.mtx", MTX_ARRAY + "2 x\n", "line 2: bad size line"),
+        # coordinate body, one fault each
+        ("m.mtx", MTX_COORD + "2 2 2\n1 1 3.0\n",
+         "entry count 1 does not match declared nnz 2"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 1\n", "line 3: expected 'i j value'"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 1 2 3\n",
+         "line 3: expected 'i j value'"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 x 2.0\n",
+         "line 3: bad coordinate indices"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1.0 1 2.0\n",
+         "line 3: bad coordinate indices"),
+        ("m.mtx", MTX_COORD + "2 2 1\n3 1 1.0\n",
+         "line 3: index (3, 1) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 0 1.0\n",
+         "line 3: index (1, 0) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 1\n99999999999999999999 1 1.0\n",
+         "line 3: index (99999999999999999999, 1) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 -99999999999999999999 1.0\n",
+         "line 3: index (1, -99999999999999999999) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 2\n1 1 1.0\n1 1 2.0\n",
+         "line 4: duplicate entry (1, 1)"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 1 abc\n",
+         "line 3: 'abc' is not a number"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 1 nan\n",
+         "line 3: non-finite value 'nan'"),
+        ("m.mtx", MTX_COORD + "2 2 1\n1 1 1e400\n",
+         "line 3: non-finite value '1e400'"),
+        # comments and blank lines keep their numbers
+        ("m.mtx", MTX_COORD + "% c\n\n2 2 2\n% c\n  \n1 1 1.0\n\n1 2 x\n",
+         "line 9: 'x' is not a number"),
+        # two faults: the earlier line wins, whatever its kind
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 1.0\n1 1 2.0\n2 2 abc\n",
+         "line 4: duplicate entry (1, 1)"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 abc\n1 1 2.0\n2 x 1.0\n",
+         "line 3: 'abc' is not a number"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 inf\n2 2\n2 3 1.0\n",
+         "line 3: non-finite value 'inf'"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 1.0\n2 2 x\n1 1 1.0\n",
+         "line 4: 'x' is not a number"),
+        ("m.mtx", MTX_COORD + "2 2 3\n2 2 1.0\n1 9 nan\n1 y 1.0\n",
+         "line 4: index (1, 9) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 nan\n99999999999999999999 1 1\n"
+         "1 1 1\n", "line 3: non-finite value 'nan'"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 1\n1 99999999999999999999 1\n"
+         "1 1 1\n", "line 4: index (1, 99999999999999999999) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 3\n1 1 1\n2 2 1\n2 2 x y\n",
+         "line 5: expected 'i j value'"),
+        # two faults in one line: the check order decides
+        ("m.mtx", MTX_COORD + "2 2 1\nx 1 abc extra\n",
+         "line 3: expected 'i j value'"),
+        ("m.mtx", MTX_COORD + "2 2 1\n99999999999999999999 x abc\n",
+         "line 3: bad coordinate indices"),
+        ("m.mtx", MTX_COORD + "2 2 1\n3 1 abc\n",
+         "line 3: index (3, 1) out of bounds"),
+        ("m.mtx", MTX_COORD + "2 2 2\n1 2 1\n1 2 nan\n",
+         "line 4: duplicate entry (1, 2)"),
+        # array body
+        ("m.mtx", MTX_ARRAY + "2 2\n1\n2\n3\n",
+         "entry count 3 does not match 2 x 2"),
+        ("m.mtx", MTX_ARRAY + "2 2\n1 2\n3 x\n4\n",
+         "line 4: 'x' is not a number"),
+        ("m.mtx", MTX_ARRAY + "2 2\n1\n% c\n\n-inf\n3\n4\n",
+         "line 6: non-finite value '-inf'"),
+        ("m.mtx", MTX_ARRAY + "2 2\n1 inf x\n",
+         "line 3: non-finite value 'inf'"),
+        ("m.mtx", MTX_ARRAY + "2 2\n1 x inf\n",
+         "line 3: 'x' is not a number"),
+        ("m.mtx", MTX_ARRAY + "2 2\n1 2 3 4 5\nNaN\n",
+         "line 4: non-finite value 'NaN'"),
+        # CSV
+        ("m.csv", "", "line 1: empty CSV file"),
+        ("m.csv", " \n\n", "line 1: empty CSV file"),
+        ("m.csv", "a,b\n", "CSV contains a header but no data rows"),
+        ("m.csv", "1,2\n3\n", "line 2: expected 2 fields, found 1"),
+        ("m.csv", "1,2\n3,x\n", "line 2: 'x' is not a number"),
+        ("m.csv", "1,2\n3,\n", "line 2: '' is not a number"),
+        ("m.csv", "1,inf\n", "line 1: non-finite value 'inf'"),
+        ("m.csv", "1,2\n3, nan\n", "line 2: non-finite value ' nan'"),
+        ("m.csv", "a,b\n\n1,2\n  \n3,x\n", "line 5: 'x' is not a number"),
+        ("m.csv", "1,2\n3,x\n4\n", "line 2: 'x' is not a number"),
+        ("m.csv", "1,2\n3\n4,x\n", "line 2: expected 2 fields, found 1"),
+        ("m.csv", "1,2\nx,y,z\n", "line 2: expected 2 fields, found 3"),
+    ])
+    def test_message(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == message
+
+
+# int()/float() syntax corner cases; the readers accept what they accept
+TOKENS = ["+3", "03", "1_0", "1__0", "_1", "3.0", "1e2", "٣", "nan",
+          "inf", "Infinity", "1e400", " 2", "", "0x10", "-0"]
+MTX_TOKENS = [t for t in TOKENS if t and t.strip() == t]  # one token each
+
+
+def _python_value(token):
+    """What float() makes of a value token: its value, or the message."""
+    try:
+        value = float(token)
+    except ValueError:
+        return "%r is not a number" % (token,)
+    return value if np.isfinite(value) else "non-finite value %r" % (token,)
+
+
+class TestTokenSyntax:
+    @pytest.mark.parametrize("token", MTX_TOKENS)
+    def test_coordinate_index(self, tmp_path, token):
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "2 20 1\n1 %s 5.0\n" % token)
+        try:
+            j = int(token)
+        except ValueError:
+            with pytest.raises(ParseError,
+                               match="^line 3: bad coordinate indices$"):
+                read_matrix(path)
+            return
+        if not 1 <= j <= 20:
+            with pytest.raises(ParseError, match="^line 3: index "):
+                read_matrix(path)
+            return
+        m = read_matrix(path)
+        assert m.indices.tolist() == [j - 1] and m.data.tolist() == [5.0]
+
+    @pytest.mark.parametrize("token", MTX_TOKENS)
+    @pytest.mark.parametrize("layout", ["coordinate", "array"])
+    def test_mtx_value(self, tmp_path, token, layout):
+        path = tmp_path / "m.mtx"
+        body = "1 1 1\n1 1 %s\n" if layout == "coordinate" else "1 1\n%s\n"
+        path.write_text("%%%%MatrixMarket matrix %s real general\n" % layout
+                        + body % token)
+        self._check(path, 3, token)
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_csv_value(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        path.write_text("1,1\n1,%s\n" % token)
+        self._check(path, 2, token)
+
+    @staticmethod
+    def _check(path, lineno, token):
+        expected = _python_value(token)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as err:
+                read_matrix(path)
+            assert str(err.value) == "line %d: %s" % (lineno, expected)
+        else:
+            got = read_matrix(path).to_dense()[-1, -1]
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_random_tokens_bitwise_equal_to_float(self, tmp_path):
+        bits = make_rng(11).integers(0, 2 ** 64, size=100_000,
+                                     dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        tokens = ["%.17g" % x for x in values.tolist()]
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_ARRAY + "%d 1\n" % len(tokens)
+                        + "\n".join(tokens) + "\n")
+        got = read_matrix(path).to_dense().ravel()
+        want = np.array([float(t) for t in tokens])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_shuffled_coordinate_file_matches_from_coo(self, tmp_path):
+        rng = make_rng(12)
+        m, n, nnz = 2000, 1000, 40_000
+        flat = rng.choice(m * n, size=nnz, replace=False)
+        vals = rng.poisson(3.0, size=nnz) * rng.uniform(-2, 2, size=nnz)
+        lines = ["%d %d %.17g" % (k // n + 1, k % n + 1, x)
+                 for k, x in zip(flat.tolist(), vals.tolist())]
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "%d %d %d\n" % (m, n, nnz)
+                        + "\n".join(lines) + "\n")
+        triplets = [ln.split() for ln in lines]
+        want = DataMatrix.from_coo([int(i) - 1 for i, _, _ in triplets],
+                                   [int(j) - 1 for _, j, _ in triplets],
+                                   [float(v) for _, _, v in triplets], (m, n))
+        got = read_matrix(path)
+        assert got.indptr.tobytes() == want.indptr.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestRoundtrips:
     @settings(max_examples=50, deadline=None)
     @given(hnp.arrays(np.float64,
