@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,8 +68,8 @@ class ParamSet:
     armijo_sigma: float = 0.01
 
 
-# the allowed interval of each FactorConfig setting and ParamSet field (eta
-# and burn_in may also be None); no interval admits NaN or an infinity
+# the allowed interval of each FactorConfig setting and ParamSet field (no
+# NaN or infinity; an `int` field takes an integer, `| None` also None)
 _SETTING_RANGES = {
     "max_iter": "[1, inf)", "min_residual_delta": "[0, inf)",
     "conn_change": "[0, inf)", "track_factors": "[0, inf)"}
@@ -86,10 +87,14 @@ def _check_ranges(config: FactorConfig):
     for record, prefix, ranges in ((config, "", _SETTING_RANGES), (
             config.params, "method parameter ", _PARAM_RANGES)):
         for name, interval in ranges.items():
-            x = getattr(record, name)
+            x, kind = getattr(record, name), type(record).__annotations__[name]
+            if x is None and kind.endswith("| None"):
+                continue
+            if not isinstance(x, Integral if kind.startswith("int") else Real):
+                raise ParamError("%s%s must be of type %s, got %r"
+                                 % (prefix, name, kind, x))
             low, high = (float(b) for b in interval[1:-1].split(", "))
-            if x is not None and not (
-                    (low < x if interval[0] == "(" else low <= x)
+            if not ((low < x if interval[0] == "(" else low <= x)
                     and (x < high if interval[-1] == ")" else x <= high)):
                 raise ParamError("%s%s must be finite and lie in %s, got %r"
                                  % (prefix, name, interval, x))

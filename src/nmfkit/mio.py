@@ -32,20 +32,28 @@ def _infer_format(path, fmt):
                      % str(path))
 
 
-def _parse_float(token, lineno):
+def _numbers(tokens, dtype=np.float64):
+    """(values, k, fault): as `dtype`, the tokens up to the first that is not
+    a number in int() or float() syntax or overflows int64; the index and
+    message of the first that is not a finite number, else len(tokens)."""
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError("line %d: %r is not a number" % (lineno, token)) from None
-    if not math.isfinite(value):
-        raise ParseError("line %d: non-finite value %r" % (lineno, token))
-    return value
+        values = np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):  # error path: bisect for that token
+        half = len(tokens) // 2
+        values = _numbers(tokens[:half], dtype)[0]
+        if len(values) == half > 0:  # not in the first half
+            values = np.append(values, _numbers(tokens[half:], dtype)[0])
+    k = np.append(~np.isfinite(values), True).argmax()  # first, else len
+    if k == len(tokens):
+        return values, k, None
+    return values, k, ("non-finite value %r" if k < len(values)
+                       else "%r is not a number") % (tokens[k],)
 
 
 def _read_mtx(lines):
-    if not lines:
+    if lines == [""]:
         raise ParseError("line 1: empty MatrixMarket file")
-    header = lines[0].strip().split()
+    header = lines[0].split()
     if (len(header) != 5 or header[0] != "%%MatrixMarket"
             or header[1].lower() != "matrix"):
         raise ParseError("line 1: malformed MatrixMarket header")
@@ -55,86 +63,88 @@ def _read_mtx(lines):
     if header[3].lower() != "real" or header[4].lower() != "general":
         raise ParseError("line 1: only 'real general' matrices are supported")
 
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    body = [(no, ln) for no, ln in body[1:]
-            if ln and not ln.startswith("%")]
-    if not body:
+    # numbers of the lines that are neither blank nor `%` comments
+    nos = [no for no, ln in enumerate(lines, 1) if ln and ln[0] != "%"]
+    if not nos:
         raise ParseError("missing size line")
-    size_no, size_line = body[0]
-    entries = body[1:]
+    size_no, nos = nos[0], nos[1:]
+    entries = [lines[no - 1] for no in nos]
+    size_line = lines[size_no - 1].split()
     need = "rows cols nnz" if layout == "coordinate" else "rows cols"
-    if len(size_line.split()) != len(need.split()):
+    if len(size_line) != len(need.split()):
         raise ParseError("line %d: %s size line needs '%s'"
                          % (size_no, layout, need))
     try:
-        sizes = [int(t) for t in size_line.split()]
+        sizes = [int(t) for t in size_line]
     except ValueError:
         raise ParseError("line %d: bad size line" % size_no) from None
     m, n = sizes[:2]
 
-    if layout == "coordinate":
-        nnz = sizes[2]
-        if len(entries) != nnz:
-            raise ParseError("entry count %d does not match declared nnz %d"
-                             % (len(entries), nnz))
-        rows, cols, vals = [], [], []
-        seen = set()
-        for no, ln in entries:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ParseError("line %d: expected 'i j value'" % no)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("line %d: bad coordinate indices" % no) from None
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ParseError("line %d: index (%d, %d) out of bounds" % (no, i, j))
-            if (i, j) in seen:
-                raise ParseError("line %d: duplicate entry (%d, %d)" % (no, i, j))
-            seen.add((i, j))
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(_parse_float(parts[2], no))
-        return DataMatrix.from_coo(rows, cols, vals, (m, n))
+    if layout == "array":
+        values, k, fault = _numbers(" ".join(entries).split())
+        if fault:
+            ends = np.cumsum([len(ln.split()) for ln in entries])
+            raise ParseError("line %d: %s" % (nos[np.sum(ends <= k)], fault))
+        if len(values) != m * n:
+            raise ParseError("entry count %d does not match %d x %d"
+                             % (len(values), m, n))
+        return DataMatrix.dense(values.reshape((n, m)).T)  # column-major
 
-    vals = []
-    for no, ln in entries:
-        for token in ln.split():
-            vals.append(_parse_float(token, no))
-    if len(vals) != m * n:
-        raise ParseError("entry count %d does not match %d x %d"
-                         % (len(vals), m, n))
-    dense = np.asarray(vals, dtype=np.float64).reshape((n, m)).T  # column-major
-    return DataMatrix.dense(dense)
+    if len(entries) != sizes[2]:
+        raise ParseError("entry count %d does not match declared nnz %d"
+                         % (len(entries), sizes[2]))
+    # each check tests the lines before the first fault found so far;
+    # every line has three tokens iff each ";" sits at a fourth place
+    flat, c = " ; ".join(entries).split(), len(entries)
+    if not (len(flat) == 4 * c - 1
+            and flat.count(";") == flat[3::4].count(";") == c - 1):
+        c = np.append([len(ln.split()) != 3 for ln in entries], True).argmax()
+        flat = " ; ".join(entries[:c]).split()
+    fault = "expected 'i j value'" if c < len(entries) else None
+    i, j = _numbers(flat[0::4], np.int64)[0], _numbers(flat[1::4], np.int64)[0]
+    i, j = i[:len(j)], j[:len(i)]
+    b = np.append((i < 1) | (i > m) | (j < 1) | (j > n), True).argmax()
+    if b < c:  # int() takes what overflows int64
+        try:
+            fault = "index (%d, %d) out of bounds" % tuple(
+                map(int, flat[4 * b:4 * b + 2]))
+        except ValueError:
+            fault = "bad coordinate indices"
+    i, j = i[:b], j[:b]
+    # stable: of equal (i, j), the first in the file comes first
+    order = (np.argsort((i - 1) * n + j, kind="stable") if m * n < 2 ** 63
+             else np.lexsort((j, i)))
+    same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    d = int(order[1:][same].min()) if same.any() else b
+    if d < b:
+        fault = "duplicate entry (%d, %d)" % (i[d], j[d])
+    values, v, bad_value = _numbers(flat[2::4])
+    if v < d:
+        fault = bad_value
+    if fault:
+        raise ParseError("line %d: %s" % (nos[min(v, d)], fault))
+    indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
+    return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
 
 
 def _read_csv(lines):
-    rows = []
-    start = 0
-    stripped = [ln.strip() for ln in lines]
-    stripped = [(i + 1, ln) for i, ln in enumerate(stripped) if ln]
-    if not stripped:
+    nos = [no for no, ln in enumerate(lines, 1) if ln]
+    if not nos:
         raise ParseError("line 1: empty CSV file")
-    # a non-numeric first row is an optional header
-    first_fields = stripped[0][1].split(",")
-    try:
-        for tok in first_fields:
-            float(tok)
-    except ValueError:
-        start = 1
-    if start == len(stripped):
+    first = lines[nos[0] - 1].split(",")  # if not numeric, an optional header
+    nos = nos[1:] if len(_numbers(first)[0]) < len(first) else nos
+    if not nos:
         raise ParseError("CSV contains a header but no data rows")
-    width = None
-    for no, ln in stripped[start:]:
-        fields = ln.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError("line %d: expected %d fields, found %d"
-                             % (no, width, len(fields)))
-        rows.append([_parse_float(tok, no) for tok in fields])
-    dense = np.asarray(rows, dtype=np.float64)
-    return DataMatrix.dense(dense)
+    rows = [lines[no - 1] for no in nos]
+    widths = np.array([ln.count(",") for ln in rows]) + 1
+    r = np.append(widths != widths[0], True).argmax()
+    values, k, fault = _numbers(",".join(rows[:r]).split(","))
+    if fault:
+        raise ParseError("line %d: %s" % (nos[k // widths[0]], fault))
+    if r < len(rows):
+        raise ParseError("line %d: expected %d fields, found %d"
+                         % (nos[r], widths[0], widths[r]))
+    return DataMatrix.dense(values.reshape((r, -1)))
 
 
 def read_matrix(path, fmt: str | None = None) -> DataMatrix:
@@ -148,7 +158,7 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     with out_of_memory("reading %s" % (path,)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+                lines = [ln.strip() for ln in fh.read().split("\n")]
         except OSError as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
         if fmt == "mtx":

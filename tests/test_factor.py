@@ -436,6 +436,28 @@ class TestFactorize:
         with pytest.raises(ParamError, match="^%s must be finite " % name):
             factorize(np.ones((3, 3)), cfg)
 
+    @pytest.mark.parametrize("settings, message", [
+        # a TypeError at the parent, from the loop or the range test
+        ({"max_iter": None}, "^max_iter must be of type int, got None$"),
+        ({"params": ParamSet(theta="0.3")},
+         "^method parameter theta must be of type float, got '0.3'$"),
+        # ran with the fractional window
+        ({"conn_change": 2.5}, "^conn_change must be of type int, got 2.5$"),
+        ({"params": ParamSet(burn_in=2.0)}, "^method parameter burn_in "
+         r"must be of type int \| None, got 2.0$"),
+        ({"params": ParamSet(pg_tol=None)},
+         "^method parameter pg_tol must be of type float, got None$")])
+    def test_setting_of_the_wrong_type(self, settings, message):
+        cfg = FactorConfig(method="nmf-eu", rank=1, **settings)
+        with pytest.raises(ParamError, match=message):
+            factorize(np.ones((3, 3)), cfg)
+
+    def test_integral_and_optional_settings_accepted(self):
+        # numpy integers are integral; eta and burn_in may be None
+        cfg = FactorConfig(method="nmf-eu", rank=1, max_iter=np.int64(3),
+                           params=ParamSet(eta=None, burn_in=None, theta=1))
+        assert factorize(np.ones((3, 3)), cfg)[0].n_iter <= 3
+
     def test_memory_error_is_typed(self, monkeypatch):
         def exhausted(*args):
             raise MemoryError

@@ -214,6 +214,10 @@ class TestReaderErrors:
          "line 3: index (3, 1) out of bounds"),
         ("m.mtx", MTX_COORD + "2 2 2\n1 2 1\n1 2 nan\n",
          "line 4: duplicate entry (1, 2)"),
+        # rows x cols past int64: entries are ordered without a flat key
+        ("m.mtx", MTX_COORD + "3 10000000000000000000 3\n"
+         "2 9000000000000000000 1\n1 5 2\n2 9000000000000000000 3\n",
+         "line 5: duplicate entry (2, 9000000000000000000)"),
         # array body
         ("m.mtx", MTX_ARRAY + "2 2\n1\n2\n3\n",
          "entry count 3 does not match 2 x 2"),
@@ -321,6 +325,15 @@ class TestTokenSyntax:
         got = read_matrix(path).to_dense().ravel()
         want = np.array([float(t) for t in tokens])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_column_count_past_int64_flat_index(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "3 10000000000000000000 3\n"
+                        "2 9000000000000000000 1\n1 5 2\n1 1 3\n")
+        m = read_matrix(path)
+        assert m.indptr.tolist() == [0, 2, 3, 3]
+        assert m.indices.tolist() == [0, 4, 8999999999999999999]
+        assert m.data.tolist() == [3.0, 2.0, 1.0]
 
     def test_shuffled_coordinate_file_matches_from_coo(self, tmp_path):
         rng = make_rng(12)
