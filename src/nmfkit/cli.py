@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 from .errors import NmfkitError
-from .factor import METHODS, FactorConfig, ParamSet, factorize
+from .factor import METHODS, FactorConfig, ParamSet, factorize, field_type
 from .matcore import DataMatrix
 from .mio import read_matrix, synth, write_matrix, write_summary
 from .multirun import RankSweepConfig, rank_sweep
@@ -42,8 +42,8 @@ def _at_least(low, cast):
     return parse
 
 
-# the cast of each ParamSet field, from its annotation ("int | None" is int)
-_PARAM_TYPES = {f.name: int if f.type.startswith("int") else float
+# the cast of each ParamSet field ("int | None" is int)
+_PARAM_TYPES = {f.name: field_type(ParamSet, f.name)[0]
                 for f in dataclasses.fields(ParamSet)}
 
 

@@ -83,16 +83,22 @@ _PARAM_RANGES = {
     "armijo_sigma": "(0, 1)"}
 
 
+def field_type(record, name):
+    """(int or float, takes None) of a FactorConfig/ParamSet field's type."""
+    kind = record.__annotations__[name]
+    return (int if kind.startswith("int") else float), kind.endswith("| None")
+
+
 def _check_ranges(config: FactorConfig):
     for record, prefix, ranges in ((config, "", _SETTING_RANGES), (
             config.params, "method parameter ", _PARAM_RANGES)):
         for name, interval in ranges.items():
-            x, kind = getattr(record, name), type(record).__annotations__[name]
-            if x is None and kind.endswith("| None"):
+            x, (cast, none_ok) = getattr(record, name), field_type(record, name)
+            if x is None and none_ok:
                 continue
-            if not isinstance(x, Integral if kind.startswith("int") else Real):
-                raise ParamError("%s%s must be of type %s, got %r"
-                                 % (prefix, name, kind, x))
+            if not isinstance(x, Integral if cast is int else Real):
+                raise ParamError("%s%s must be of type %s%s, got %r" % (
+                    prefix, name, cast.__name__, " | None" * none_ok, x))
             low, high = (float(b) for b in interval[1:-1].split(", "))
             if not ((low < x if interval[0] == "(" else low <= x)
                     and (x < high if interval[-1] == ")" else x <= high)):

@@ -33,9 +33,8 @@ def _infer_format(path, fmt):
 
 
 def _numbers(tokens, dtype=np.float64):
-    """(values, k, fault): as `dtype`, the tokens up to the first that is not
-    a number in int() or float() syntax or overflows int64; the index and
-    message of the first that is not a finite number, else len(tokens)."""
+    """(values, k, fault): `tokens` as `dtype` up to the first that is no
+    int()/float() number in range; k, fault: first non-finite, else len."""
     try:
         values = np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError):  # error path: bisect for that token
@@ -51,7 +50,7 @@ def _numbers(tokens, dtype=np.float64):
 
 
 def _read_mtx(lines):
-    if lines == [""]:
+    if not lines:
         raise ParseError("line 1: empty MatrixMarket file")
     header = lines[0].split()
     if (len(header) != 5 or header[0] != "%%MatrixMarket"
@@ -111,16 +110,12 @@ def _read_mtx(lines):
         except ValueError:
             fault = "bad coordinate indices"
     i, j = i[:b], j[:b]
-    # stable: of equal (i, j), the first in the file comes first
-    order = (np.argsort((i - 1) * n + j, kind="stable") if m * n < 2 ** 63
-             else np.lexsort((j, i)))
+    order = np.lexsort((j, i))  # stable: of equal (i, j), file order
     same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
     d = int(order[1:][same].min()) if same.any() else b
-    if d < b:
-        fault = "duplicate entry (%d, %d)" % (i[d], j[d])
+    fault = "duplicate entry (%d, %d)" % (i[d], j[d]) if d < b else fault
     values, v, bad_value = _numbers(flat[2::4])
-    if v < d:
-        fault = bad_value
+    fault = bad_value if v < d else fault
     if fault:
         raise ParseError("line %d: %s" % (nos[min(v, d)], fault))
     indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
@@ -158,12 +153,11 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     with out_of_memory("reading %s" % (path,)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh.read().split("\n")]
+                text = fh.read()
         except OSError as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
-        if fmt == "mtx":
-            return _read_mtx(lines)
-        return _read_csv(lines)
+        lines = [ln.strip() for ln in text.split("\n")] if text else []
+        return (_read_mtx if fmt == "mtx" else _read_csv)(lines)
 
 
 def write_matrix(matrix, path, fmt: str | None = None) -> None:

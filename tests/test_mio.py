@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_rng, sparsify, to_csr
 import nmfkit.mio as mio_mod
 from nmfkit.errors import (DomainError, IoError, OutOfMemoryError, ParamError,
-                           ParseError)
+                           ParseError, ShapeError)
 from nmfkit.factor import FactorConfig, factorize
 from nmfkit.matcore import DataMatrix
 from nmfkit.mio import read_matrix, synth, write_matrix, write_summary
@@ -149,6 +149,9 @@ class TestReaderErrors:
 
     @pytest.mark.parametrize("name, text, message", [
         ("m.mtx", "", "line 1: empty MatrixMarket file"),
+        ("m.mtx", "  ", "line 1: malformed MatrixMarket header"),
+        ("m.mtx", "\t", "line 1: malformed MatrixMarket header"),
+        ("m.mtx", " \n", "line 1: malformed MatrixMarket header"),
         ("m.mtx", "%%MatrixMarket tensor coordinate real general\n1 1 0\n",
          "line 1: malformed MatrixMarket header"),
         ("m.mtx", "%%MatrixMarket matrix diagonal real general\n1 1 0\n",
@@ -218,6 +221,8 @@ class TestReaderErrors:
         ("m.mtx", MTX_COORD + "3 10000000000000000000 3\n"
          "2 9000000000000000000 1\n1 5 2\n2 9000000000000000000 3\n",
          "line 5: duplicate entry (2, 9000000000000000000)"),
+        ("m.mtx", MTX_COORD + "0 10000000000000000000 1\n1 1 1\n",
+         "line 3: index (1, 1) out of bounds"),
         # array body
         ("m.mtx", MTX_ARRAY + "2 2\n1\n2\n3\n",
          "entry count 3 does not match 2 x 2"),
@@ -234,6 +239,7 @@ class TestReaderErrors:
         # CSV
         ("m.csv", "", "line 1: empty CSV file"),
         ("m.csv", " \n\n", "line 1: empty CSV file"),
+        ("m.csv", "  ", "line 1: empty CSV file"),
         ("m.csv", "a,b\n", "CSV contains a header but no data rows"),
         ("m.csv", "1,2\n3\n", "line 2: expected 2 fields, found 1"),
         ("m.csv", "1,2\n3,x\n", "line 2: 'x' is not a number"),
@@ -334,6 +340,13 @@ class TestTokenSyntax:
         assert m.indptr.tolist() == [0, 2, 3, 3]
         assert m.indices.tolist() == [0, 4, 8999999999999999999]
         assert m.data.tolist() == [3.0, 2.0, 1.0]
+
+    def test_no_rows_and_columns_past_int64(self, tmp_path):
+        # a typed error, not an overflow while ordering the entries
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "0 10000000000000000000 0\n")
+        with pytest.raises(ShapeError, match="at least one row"):
+            read_matrix(path)
 
     def test_shuffled_coordinate_file_matches_from_coo(self, tmp_path):
         rng = make_rng(12)
