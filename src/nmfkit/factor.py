@@ -273,7 +273,7 @@ def _pg_nnls_gram(ata, atb, x0, tol, max_iter, armijo_beta, armijo_sigma):
     for it in range(1, max_iter + 1):
         grad = 2.0 * (ata @ x - atb)
         pg = np.where(x > 0, grad, np.minimum(grad, 0.0))
-        if math.sqrt(float(np.dot(pg.ravel(), pg.ravel()))) <= tol:
+        if math.sqrt(frobenius_sq(pg)) <= tol:
             return x, it
         xn = np.maximum(x - alpha * grad, 0.0)
         if decrease_ok(xn):

@@ -10,7 +10,9 @@ called.  `dense_view` still materializes (and caches) the dense array for
 the callers that want one (the Euclidean residuals and NNDSVD seeding), and
 the matrix stays CSR after it.
 
-All numeric work is in 64-bit floats.
+All numeric work is in 64-bit floats.  No reduction over data calls BLAS
+(see `_inner`); only a dense product large enough for OpenBLAS to thread
+its gemm can differ in its last bits between BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -288,12 +290,18 @@ def safe_divide_product(v, w, h, eps: float = EPS):
 
 # -- reductions --------------------------------------------------------------
 
+def _inner(a, b) -> float:
+    """Inner product of 1-d float64 arrays without BLAS: ddot (1-d np.dot,
+    vdot, inner, @) splits over OpenBLAS's threads above 10,000 elements."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def frobenius_sq(a) -> float:
-    """Sum of squared entries."""
+    """Sum of squared entries; the same bits at every BLAS thread count."""
     if _is_csr(a):
-        return float(np.dot(a.data, a.data))
-    d = _dense_of(a)
-    return float(np.dot(d.ravel(), d.ravel()))
+        return _inner(a.data, a.data)
+    d = _dense_of(a).ravel()
+    return _inner(d, d)
 
 
 def _kl_v_terms(v):
@@ -341,7 +349,7 @@ def kl_div(v, m, eps: float = 0.0) -> float:
     if eps <= 0 and np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
     total = float(np.sum(md) - sum_v)
-    total += float(np.dot(vp, np.log(vp / mp)))
+    total += _inner(vp, np.log(vp / mp))
     return total
 
 
@@ -366,7 +374,7 @@ def kl_div_product(v, w, h, eps: float = 0.0) -> float:
         mp = clamped
     elif np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
-    total += float(np.dot(vp, np.log(vp / mp)))
+    total += _inner(vp, np.log(vp / mp))
     return total
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParamError, ParseError, out_of_memory
+from .errors import (IoError, ParamError, ParseError, ShapeError,
+                     out_of_memory)
 from .matcore import DataMatrix, RngStream, as_matrix
 
 FORMATS = ("mtx", "csv")
@@ -78,18 +79,24 @@ def _read_mtx(lines):
     except ValueError:
         raise ParseError("line %d: bad size line" % size_no) from None
     m, n = sizes[:2]
+    # checked after the body's faults, which name the entry that is wrong
+    bad_size = None if 0 < m < 2**63 and 0 < n and sizes[-1] >= 0 else \
+        ShapeError("line %d: the size line needs at least one row and column,"
+                   " fewer than 2**63 rows and nnz >= 0" % size_no)
 
     if layout == "array":
         values, k, fault = _numbers(" ".join(entries).split())
         if fault:
             ends = np.cumsum([len(ln.split()) for ln in entries])
             raise ParseError("line %d: %s" % (nos[np.sum(ends <= k)], fault))
+        if bad_size:
+            raise bad_size
         if len(values) != m * n:
             raise ParseError("entry count %d does not match %d x %d"
                              % (len(values), m, n))
         return DataMatrix.dense(values.reshape((n, m)).T)  # column-major
 
-    if len(entries) != sizes[2]:
+    if sizes[2] >= 0 and len(entries) != sizes[2]:
         raise ParseError("entry count %d does not match declared nnz %d"
                          % (len(entries), sizes[2]))
     # each check tests the lines before the first fault found so far;
@@ -118,6 +125,8 @@ def _read_mtx(lines):
     fault = bad_value if v < d else fault
     if fault:
         raise ParseError("line %d: %s" % (nos[min(v, d)], fault))
+    if bad_size:
+        raise bad_size
     indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
     return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
 
@@ -154,7 +163,7 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
         lines = [ln.strip() for ln in text.split("\n")] if text else []
         return (_read_mtx if fmt == "mtx" else _read_csv)(lines)

@@ -74,7 +74,7 @@ def sparseness_vector(x) -> float:
     if x.size < 2:
         warnings.warn("sparseness: length-%d vector scored as 0" % x.size)
         return 0.0
-    l2 = math.sqrt(float(np.dot(x, x)))
+    l2 = math.sqrt(frobenius_sq(x))
     if l2 == 0.0:
         warnings.warn("sparseness: all-zero vector scored as 0")
         return 0.0

@@ -51,6 +51,23 @@ class TestExitCodes:
         assert code == 1
         assert "nope.mtx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"2 2 1\n1 1 \xff\n", "error (io): cannot read "),
+        (b"-1 2 0\n", "error (shape): line 2: the size line needs "),
+    ])
+    def test_unreadable_input_is_one_error_line(self, tmp_path, capsys, body,
+                                                message):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         + body)
+        code = main(["factorize", "--input", str(path), "--method",
+                     "nmf-eu", "--rank", "1", "--output-dir",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag(self, small_matrix):
         code = main(["factorize", "--input", str(small_matrix),
                      "--method", "lsnmf", "--rank", "2", "--bogus"])

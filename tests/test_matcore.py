@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +351,43 @@ class TestRng:
         assert runs[0].stdout == runs[1].stdout
         local = repr(RngStream(77).uniform(size=10_000).sum())
         assert runs[0].stdout.strip() == local
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs two CPUs for two BLAS threads")
+    def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
+        # 20,000-element reductions, which OpenBLAS's ddot would split
+        # over two threads, and a rank-estimate report built on them
+        code = """if True:
+            import contextlib, io, sys
+            import numpy as np
+            from nmfkit.cli import main
+            from nmfkit.matcore import frobenius_sq, kl_div
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                v, m = rng.uniform(size=(2, 100, 200))
+                print(kl_div(v, m).hex(), frobenius_sq(m).hex())
+            out = sys.argv[1]
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["synth", "--rows", "100", "--cols", "200", "--rank",
+                      "3", "--noise", "0.01", "--seed", "4",
+                      "--output", out + "/v.mtx"])
+                main(["rank-estimate", "--input", out + "/v.mtx",
+                      "--method", "nmf-kl", "--ranks", "2..3", "--runs", "3",
+                      "--master-seed", "4", "--output-dir", out])
+            print(open(out + "/consensus_report.json").read())
+        """
+        src = str(Path(matcore_mod.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            runs.append(subprocess.run(
+                [sys.executable, "-c", code, str(out)], env=env,
+                capture_output=True, text=True, check=True).stdout)
+        assert runs[0].count("\n") > 10
+        assert runs[0] == runs[1]
 
     def test_different_seeds_differ(self):
         a = RngStream(7).uniform(size=100)

@@ -90,6 +90,14 @@ class TestReadMtx:
         with pytest.raises(IoError):
             read_matrix(tmp_path / "absent.mtx")
 
+    @pytest.mark.parametrize("name", ["m.mtx", "m.csv"])
+    def test_non_utf8_file_is_io_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(IoError, match="^cannot read .*%s: 'utf-8' codec"
+                           % name):
+            read_matrix(path)
+
     def test_memory_error_is_typed(self, tmp_path, monkeypatch):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n"
@@ -257,6 +265,25 @@ class TestReaderErrors:
         with pytest.raises(ParseError) as err:
             read_matrix(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, line", [
+        (MTX_COORD + "-1 2 0\n", 2),
+        (MTX_COORD + "10000000000000000000 2 0\n", 2),
+        (MTX_COORD + "% c\n2 0 0\n", 3),
+        (MTX_COORD + "2 -3 0\n", 2),
+        (MTX_COORD + "2 2 -1\n", 2),
+        (MTX_ARRAY + "-1 -2\n1\n2\n", 2),
+        (MTX_ARRAY + "0 0\n", 2),
+    ])
+    def test_size_line_counts(self, tmp_path, text, line):
+        # a ShapeError, which comes after any ParseError of the body
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(ShapeError) as err:
+            read_matrix(path)
+        assert str(err.value) == (
+            "line %d: the size line needs at least one row and column, "
+            "fewer than 2**63 rows and nnz >= 0" % line)
 
 
 # int()/float() syntax corner cases; the readers accept what they accept
