@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 runtime/pipeline error (out of memory included),
 2 flag misuse.  Results go to files and standard output; diagnostics
 (including wall time) go to the error stream.  With a fixed --master-seed
-every command writes byte-identical output files across runs, at a fixed
-BLAS thread count.
+every command writes byte-identical output files across runs; see the
+README for when the BLAS thread count can still matter.
 """
 
 from __future__ import annotations

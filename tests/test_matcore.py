@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,7 @@ class TestRng:
     def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
         # 20,000-element reductions, which OpenBLAS's ddot would split
         # over two threads, and a rank-estimate report built on them
-        code = """if True:
+        code = textwrap.dedent("""\
             import contextlib, io, sys
             import numpy as np
             from nmfkit.cli import main
@@ -375,7 +376,7 @@ class TestRng:
                       "--method", "nmf-kl", "--ranks", "2..3", "--runs", "3",
                       "--master-seed", "4", "--output-dir", out])
             print(open(out + "/consensus_report.json").read())
-        """
+        """)
         src = str(Path(matcore_mod.__file__).parents[1])
         runs = []
         for threads in ("1", "2"):
