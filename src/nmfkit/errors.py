@@ -63,8 +63,11 @@ class OutOfMemoryError(NmfkitError):
 
 @contextmanager
 def out_of_memory(doing: str):
-    """Re-raise a MemoryError as OutOfMemoryError("out of memory <doing>")."""
+    """Re-raise a MemoryError, or numpy's ValueError for an array above its
+    maximum size, as OutOfMemoryError("out of memory <doing>")."""
     try:
         yield
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+            raise
         raise OutOfMemoryError("out of memory " + doing) from exc

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import (DomainError, MethodError, ParamError, RankError,
                      out_of_memory)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
-                      kl_div_product, matmul, safe_divide, safe_divide_product)
+                      kl_div_product, matmul, product_on, safe_divide,
+                      safe_divide_product)
 from .seeding import SeedSpec, seed_factors
 
 # method id -> the kind of objective its iterations descend
@@ -136,39 +137,44 @@ class RunTrace:
     factor_snapshots: list | None = None
 
 
+def basis_of(model: FactorModel) -> np.ndarray:
+    """The factor that multiplies H: W, or W S(theta) for nsnmf."""
+    if model.theta is not None:
+        return model.W @ nsnmf_smoothing(model.theta, model.W.shape[1])
+    return model.W
+
+
 def reconstruct(model: FactorModel) -> np.ndarray:
     """Model reconstruction of V: W H, or W S(theta) H for nsnmf."""
-    if model.theta is not None:
-        s = nsnmf_smoothing(model.theta, model.W.shape[1])
-        return model.W @ s @ model.H
-    return model.W @ model.H
+    return basis_of(model) @ model.H
 
 
-def objective(v, model: FactorModel, kind: str) -> float:
+def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     """Euclidean (squared Frobenius residual) or KL objective of a model.
 
     The KL form clamps the reconstruction at machine epsilon so that exact
     zeros in the factors keep the value finite.  For a CSR V the KL form
     works on V's stored entries without forming the reconstruction
     (`kl_div_product`); it drops the clamp where V is zero, so it can read
-    below the dense value by at most EPS per zero entry of V.
+    below the dense value by at most EPS per zero entry of V.  ``wh`` is
+    `product_on(v, basis_of(model), model.H)`, formed here if not given.
     """
     v = as_matrix(v)
-    basis = model.W
-    if model.theta is not None:
-        basis = basis @ nsnmf_smoothing(model.theta, basis.shape[1])
+    basis = basis_of(model)
     if kind == "euclidean":
         return _residual_sq(v, basis, model.H)
     if kind == "kl" and v.is_sparse:
-        return kl_div_product(v, basis, model.H, eps=EPS)
+        return kl_div_product(v, basis, model.H, EPS, wh)
     if kind == "kl":
-        return kl_div(v, basis @ model.H, eps=EPS)
+        return kl_div(v, basis @ model.H if wh is None else wh, eps=EPS)
     raise ParamError("unknown objective kind %r" % (kind,))
 
 
 def _residual_sq(v, w, h) -> float:
-    """The Euclidean residual ||V - W H||_F^2."""
-    return float(frobenius_sq(as_matrix(v).dense_view() - w @ h))
+    """The Euclidean residual ||V - W H||_F^2, as W H - V in place."""
+    r = w @ h
+    r -= as_matrix(v).dense_view()
+    return float(frobenius_sq(r))
 
 
 # -- multiplicative updates ----------------------------------------------------
@@ -195,8 +201,8 @@ def mu_eu_step(v, w, h):
     return _penalized_mu(v, w, h, 0.0)
 
 
-def _kl_update_h(v, basis, h):
-    ratio = safe_divide_product(v, basis, h)
+def _kl_update_h(v, basis, h, wh):
+    ratio = safe_divide_product(v, basis, h, wh=wh)
     num = matmul(basis.T, ratio)
     return h * num / (basis.sum(axis=0)[:, None] + EPS)
 
@@ -207,10 +213,10 @@ def _kl_update_w(v, w, mixture):
     return w * num / (mixture.sum(axis=1)[None, :] + EPS)
 
 
-def mu_kl_step(v, w, h):
-    """One Lee-Seung KL update: H then W."""
+def mu_kl_step(v, w, h, wh=None):
+    """One Lee-Seung KL update: H then W; ``wh`` is as in `objective`."""
     v = as_matrix(v)
-    h = _kl_update_h(v, w, h)
+    h = _kl_update_h(v, w, h, wh)
     w = _kl_update_w(v, w, h)
     return w, h
 
@@ -224,11 +230,11 @@ def nsnmf_smoothing(theta: float, k: int) -> np.ndarray:
     return (1.0 - theta) * np.eye(k) + (theta / k) * np.ones((k, k))
 
 
-def nsnmf_iterate(v, w, h, theta: float):
+def nsnmf_iterate(v, w, h, theta: float, wh=None):
     """KL updates against the smoothed model: H sees W S, W sees S H."""
     v = as_matrix(v)
     s = nsnmf_smoothing(theta, w.shape[1])
-    h = _kl_update_h(v, w @ s, h)
+    h = _kl_update_h(v, w @ s, h, wh)
     w = _kl_update_w(v, w, s @ h)
     return w, h
 
@@ -542,6 +548,7 @@ def _run(v, config: FactorConfig, eta: float):
     burn_in = params.burn_in if params.burn_in is not None \
         else config.max_iter // 2
     w_sum, h_sum, samples = np.zeros_like(w), np.zeros_like(h), 0
+    wh = None  # KL: the objective's product_on, reused by the next H update
 
     def lam_of(it):  # bmf's penalty schedule
         try:
@@ -551,12 +558,15 @@ def _run(v, config: FactorConfig, eta: float):
             return BMF_LAMBDA_CAP
 
     def current_objective(it):
+        nonlocal wh
         if method == "bmf":
             return bmf_objective(v, w, h, lam_of(max(it, 1)))
         if kind == "penalized":
             return snmf_objective(v, w, h, method[-1], eta, params.beta)
         model = FactorModel(w, h, method, theta, it, 0.0)
-        return objective(v, model, kind)
+        if kind == "kl":
+            wh = product_on(v, basis_of(model), h)
+        return objective(v, model, kind, wh)
 
     obj_prev = current_objective(0)
     trace_obj = []
@@ -569,9 +579,9 @@ def _run(v, config: FactorConfig, eta: float):
         if method == "nmf-eu":
             w, h = mu_eu_step(v, w, h)
         elif method == "nmf-kl":
-            w, h = mu_kl_step(v, w, h)
+            w, h = mu_kl_step(v, w, h, wh)
         elif method == "nsnmf":
-            w, h = nsnmf_iterate(v, w, h, theta)
+            w, h = nsnmf_iterate(v, w, h, theta, wh)
         elif method == "lsnmf":
             w, h = lsnmf_iterate(v, w, h, params, state)
         elif method in ("snmf-l", "snmf-r"):

@@ -2,13 +2,13 @@
 
 The factorization loops only ever need a handful of operations on the data
 matrix: products against dense factors, elementwise quotients on the stored
-pattern, norms and reductions.  Products (`matmul`), the quotient
-V / (W H) (`safe_divide_product`), the KL divergence against W H
-(`kl_div_product`) and the sums and norms have whole-array CSR kernels that
-never form an m x n array; a CSR matrix stays CSR when one of them is
-called.  `dense_view` still materializes (and caches) the dense array for
-the callers that want one (the Euclidean residuals and NNDSVD seeding), and
-the matrix stays CSR after it.
+pattern, norms and reductions.  Products (`matmul`), W H on V's pattern
+(`product_on`), the quotient V / (W H) (`safe_divide_product`), the KL
+divergence (`kl_div_product`), sums and norms have CSR kernels that never
+form an m x n array.  `dense_view` materializes (and caches) the dense
+array for the callers that still want one: `factor._residual_sq` (so the
+Euclidean and penalized objectives, bd/icm's noise variance and
+`quality.rss`), `factor.pg_nnls`, NNDSVD seeding and array/CSV output.
 
 All numeric work is in 64-bit floats.  No reduction over data calls BLAS
 (see `_inner`); only a dense product large enough for OpenBLAS to thread
@@ -274,18 +274,27 @@ def _product_at(w, h, rows, cols) -> np.ndarray:
     return np.einsum("ij,ji->i", w.take(rows, axis=0), h.take(cols, axis=1))
 
 
-def safe_divide_product(v, w, h, eps: float = EPS):
+def product_on(v, w, h) -> np.ndarray:
+    """W @ H where V needs it: the m x n product for a dense V, its values
+    at V's stored entries, in storage order, for a CSR V."""
+    if _is_csr(v):
+        _check_factors(v, w, h, "product_on")
+        return _product_at(w, h, _pattern_of(v).rows, v.indices)
+    return matmul(w, h)
+
+
+def safe_divide_product(v, w, h, eps: float = EPS, wh=None):
     """safe_divide(V, W @ H) without densifying a sparse V.
 
     For CSR input the quotient is only evaluated on the stored pattern
     (zero entries stay zero, exactly as in the dense formula) and the
     result is CSR with V's pattern, which shares V's cached index arrays.
+    ``wh`` is `product_on(v, w, h)`, formed here if not given.
     """
+    wh = product_on(v, w, h) if wh is None else wh
     if _is_csr(v):
-        _check_factors(v, w, h, "safe_divide_product")
-        prod = _product_at(w, h, _pattern_of(v).rows, v.indices)
-        return v.with_values(v.data / (prod + eps))
-    return safe_divide(v, matmul(w, h), eps)
+        return v.with_values(v.data / (wh + eps))
+    return safe_divide(v, wh, eps)
 
 
 # -- reductions --------------------------------------------------------------
@@ -353,20 +362,20 @@ def kl_div(v, m, eps: float = 0.0) -> float:
     return total
 
 
-def kl_div_product(v, w, h, eps: float = 0.0) -> float:
+def kl_div_product(v, w, h, eps: float = 0.0, wh=None) -> float:
     """kl_div(V, W @ H) without forming W @ H for a CSR V.
 
-    The sum of M is (W 1)'(H 1), and M itself is evaluated only where V is
-    positive.  With ``eps`` > 0 the clamp max(M, eps) is applied there but
-    not on the entries where V is zero, so the value can fall short of
-    kl_div(V, W @ H, eps) by at most eps per zero entry of V: eps (mn - nnz)
-    when V stores no explicit zeros.  A dense V goes through kl_div.
+    The sum of M is (W 1)'(H 1); M itself is formed on V's stored entries
+    (``wh``, `product_on(v, w, h)`, if given).  The clamp max(M, eps) of
+    ``eps`` > 0 acts where V is positive, not where V is zero, so the value
+    can fall short of kl_div(V, W @ H, eps) by at most eps per zero of V:
+    eps (mn - nnz) without stored zeros.  A dense V goes through kl_div.
     """
+    wh = product_on(v, w, h) if wh is None else wh
     if not _is_csr(v):
-        return kl_div(v, matmul(w, h), eps)
-    _check_factors(v, w, h, "kl_div_product")
-    pos, vp, sum_v = _kl_v_terms(v)
-    mp = _product_at(w, h, *np.divmod(pos, v.cols))
+        return kl_div(v, wh, eps)
+    _, vp, sum_v = _kl_v_terms(v)
+    mp = wh if vp.size == wh.size else wh[v.data > 0]
     total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
     if eps > 0:
         clamped = np.maximum(mp, eps)

@@ -55,12 +55,15 @@ def distance(v, model: FactorModel, metric: str) -> float:
     """Euclidean distance sqrt(rss) or generalized KL divergence.
 
     The KL form clamps the reconstruction at machine epsilon, keeping the
-    measure finite when converged factors contain exact zeros.
+    measure finite when converged factors contain exact zeros; for a CSR V
+    it is `objective`'s, at most EPS per zero of V below the dense value.
     """
+    v = as_matrix(v)
     if metric == "euclidean":
         return math.sqrt(rss(v, model))
     if metric == "kl":
-        return kl_div(as_matrix(v), reconstruct(model), eps=EPS)
+        return (objective(v, model, "kl") if v.is_sparse
+                else kl_div(v, reconstruct(model), eps=EPS))
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 

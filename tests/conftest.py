@@ -1,8 +1,25 @@
 """Shared helpers for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from nmfkit.matcore import DataMatrix
+
+HERE = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Fail every test under tests/ on a warning it does not expect.
+
+    The mark goes first, so a test's own `filterwarnings` marks override
+    it; `pytest.warns` and `warnings.catch_warnings` still record.
+    """
+    for item in items:
+        if HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"),
+                            append=False)
 
 
 def make_rng(seed):

@@ -68,6 +68,27 @@ class TestExitCodes:
         assert err.startswith(message) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("body, doing", [
+        # passes the size-line check, but no row-pointer array has 2**60 + 1
+        # entries; numpy refuses it with a ValueError, not a MemoryError
+        ("1152921504606846976 2 0\n", "reading "),
+        # reads, but random_vcol seeding samples a fifth of 2**60 columns
+        ("2 1152921504606846976 1\n1 1 1\n", "running nmf-eu at rank 1 on a "
+                                             "2x1152921504606846976 matrix"),
+    ], ids=["rows", "cols"])
+    def test_huge_size_line_is_one_memory_error_line(self, tmp_path, capsys,
+                                                     body, doing):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        + body)
+        code = main(["factorize", "--input", str(path), "--method", "nmf-eu",
+                     "--rank", "1", "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error (memory): out of memory " + doing)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag(self, small_matrix):
         code = main(["factorize", "--input", str(small_matrix),
                      "--method", "lsnmf", "--rank", "2", "--bogus"])

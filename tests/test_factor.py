@@ -12,9 +12,9 @@ from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
                            nsnmf_iterate, nsnmf_smoothing, objective,
                            reconstruct, sample_rectified_normal, snmf_iterate,
                            snmf_objective, _initial_subproblem_tol)
-from nmfkit.matcore import RngStream, frobenius_sq, kl_div, matmul
+from nmfkit.matcore import DataMatrix, RngStream, frobenius_sq, kl_div, matmul
 from nmfkit.mio import synth
-from nmfkit.seeding import SeedSpec
+from nmfkit.seeding import SeedSpec, seed_factors
 
 
 def exact_instance(rng, m=6, n=5, k=2, low=0.1):
@@ -182,20 +182,24 @@ class TestSnmf:
     def test_beta_increases_h_sparseness(self):
         from nmfkit.quality import sparseness
         wins = 0
-        for seed in range(10):
-            rng = make_rng(100 + seed)
-            v = random_nonneg(rng, 12, 10)
-            results = {}
-            for beta in (0.0, 1.0):
-                cfg = FactorConfig(method="snmf-r", rank=3,
-                                   seed=SeedSpec("random"), max_iter=40,
-                                   min_residual_delta=0.0, conn_change=0,
-                                   master_seed=seed,
-                                   params=ParamSet(beta=beta))
-                model, _ = factorize(v, cfg)
-                results[beta] = sparseness(model)[1]
-            wins += results[1.0] > results[0.0]
+        # a row of H that the penalty zeroes scores 0, with a warning
+        with pytest.warns(UserWarning) as caught:
+            for seed in range(10):
+                rng = make_rng(100 + seed)
+                v = random_nonneg(rng, 12, 10)
+                results = {}
+                for beta in (0.0, 1.0):
+                    cfg = FactorConfig(method="snmf-r", rank=3,
+                                       seed=SeedSpec("random"), max_iter=40,
+                                       min_residual_delta=0.0, conn_change=0,
+                                       master_seed=seed,
+                                       params=ParamSet(beta=beta))
+                    model, _ = factorize(v, cfg)
+                    results[beta] = sparseness(model)[1]
+                wins += results[1.0] > results[0.0]
         assert wins >= 8
+        assert {str(w.message) for w in caught} \
+            == {"sparseness: all-zero vector scored as 0"}
 
     def test_bad_side(self):
         with pytest.raises(ParamError):
@@ -493,6 +497,42 @@ class TestFactorize:
         np.testing.assert_array_equal(m1.W, m2.W)
         np.testing.assert_array_equal(m1.H, m2.H)
         assert m1.final_objective == m2.final_objective
+
+    @pytest.mark.parametrize("layout", ["dense", "csr", "csr-stored-zero"])
+    @pytest.mark.parametrize("method", ["nmf-kl", "nsnmf"])
+    def test_kl_product_reuse_is_invisible(self, method, layout):
+        # the driver hands the objective's W H to the next H update; a loop
+        # that forms every product afresh must give the same bits
+        rng = make_rng(23)
+        dense = random_nonneg(rng, 9, 7)
+        dense[2, 3] = 0.0
+        v = {"dense": dense, "csr": to_csr(dense),
+             "csr-stored-zero": DataMatrix.from_coo(
+                 *np.indices(dense.shape).reshape(2, -1), dense.ravel(),
+                 dense.shape)}[layout]
+        cfg = FactorConfig(method=method, rank=3, seed=SeedSpec("random"),
+                           max_iter=300, min_residual_delta=1e-4,
+                           conn_change=0, track_error=True, master_seed=5)
+        model, trace = factorize(v, cfg)
+
+        w, h = seed_factors(v, 3, cfg.seed, RngStream(5))
+        theta = cfg.params.theta if method == "nsnmf" else None
+        prev = objective(v, FactorModel(w, h, method, theta, 0, 0.0), "kl")
+        objs = []
+        for it in range(1, cfg.max_iter + 1):
+            if method == "nmf-kl":
+                w, h = mu_kl_step(v, w, h)
+            else:
+                w, h = nsnmf_iterate(v, w, h, theta)
+            objs.append(objective(v, FactorModel(w, h, method, theta, it,
+                                                 0.0), "kl"))
+            if (prev - objs[-1]) / abs(prev) < cfg.min_residual_delta:
+                break
+            prev = objs[-1]
+        assert 1 < model.n_iter == it < cfg.max_iter
+        assert model.W.tobytes() == w.tobytes()
+        assert model.H.tobytes() == h.tobytes()
+        assert trace.objective_per_iter == objs
 
     def test_zero_locking_through_driver(self):
         rng = make_rng(20)

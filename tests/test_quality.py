@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_nonneg, to_csr
+from conftest import make_rng, random_nonneg, sparsify, to_csr
 from nmfkit.errors import (DegenerateError, MetricError, OutOfMemoryError,
                            RankError)
 from nmfkit.factor import FactorModel
-from nmfkit.matcore import frobenius_sq
+from nmfkit.matcore import EPS, DataMatrix, frobenius_sq
 from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
                             distance, evar, feature_scores, fit_summary, rss,
                             select_features, sparseness, sparseness_vector,
@@ -341,3 +342,35 @@ class TestFitSummary:
                                                    "matrix") as info:
             fit_summary(v, m)
         assert info.value.kind == "memory"
+
+    def test_csr_fit_forms_no_reconstruction(self, monkeypatch):
+        import nmfkit.factor as factor_mod
+        import nmfkit.quality as quality_mod
+        rng = make_rng(12)
+        m, n = 600, 500
+        dense = sparsify(rng, m, n, density=0.02)
+        w, h = rng.uniform(size=(m, 5)), rng.uniform(size=(5, n))
+        w[0] = 0.0  # a zero row of W H, where the dense form clamps
+        model = model_of(w, h)
+        want = fit_summary(dense, model).dist_kl
+        calls, reconstruct = [], factor_mod.reconstruct
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruct(*args)
+
+        monkeypatch.setattr(quality_mod, "reconstruct", counted)
+        monkeypatch.setattr(factor_mod, "reconstruct", counted)
+        r, c = np.nonzero(dense)
+        v = DataMatrix.from_coo(r, c, dense[r, c], (m, n))
+        tracemalloc.start()
+        try:
+            got = fit_summary(v, model).dist_kl
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cached dense V and the residual; no m x n W H for the KL term
+        assert peak < 2.5 * 8 * m * n
+        assert calls == []
+        # at most EPS below per zero of V, and rounding of the value's sums
+        assert abs(got - want) <= EPS * (m * n - v.nnz) + 1e-14 * abs(want)
