@@ -6,15 +6,16 @@
 #
 # REF is unpacked with `git archive` into a temporary directory.  Each tree
 # then writes, with its own code and one BLAS thread:
-#   - a dense 60x40 `synth` matrix (rank 4, noise 0.01, seed 3) and its
-#     30%-density twin in MatrixMarket coordinate format;
+#   - a dense 60x40 `synth` matrix (rank 4, noise 0.01, seed 3), and its
+#     30%-density twin both as a dense array with zeros and in
+#     MatrixMarket coordinate format;
 #   - W.mtx, H.mtx and summary.json of `factorize` for the nine methods x
 #     the random_vcol, nndsvda and random seedings, at --rank 4
-#     --max-iter 60 --scale-unit --track-error --master-seed 7, on both
-#     inputs;
+#     --max-iter 60 --scale-unit --track-error --master-seed 7, on all
+#     three inputs;
 #   - consensus_report.json/.csv of `rank-estimate --method nmf-kl
-#     --ranks 2..4 --runs 5 --master-seed 4` on both inputs.
-# That is 168 files: 166 outputs and the two inputs.  The script is not
+#     --ranks 2..4 --runs 5 --master-seed 4` on all three inputs.
+# That is 252 files: 249 outputs and the three inputs.  The script is not
 # part of check.sh or CI, since some changes alter outputs on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,7 +60,7 @@ d = read_matrix(out + "/sparse_array.mtx").to_dense()
 r, c = np.nonzero(d)
 write_matrix(DataMatrix.from_coo(r, c, d[r, c], d.shape), out + "/coord.mtx")
 
-for name in ("dense", "coord"):
+for name in ("dense", "sparse_array", "coord"):
     data = "%s/%s.mtx" % (out, name)
     for method in ("nmf-eu", "nmf-kl", "lsnmf", "snmf-l", "snmf-r", "nsnmf",
                    "bmf", "bd", "icm"):
@@ -72,7 +73,6 @@ for name in ("dense", "coord"):
         "--ranks", "2..4", "--runs", "5", "--master-seed", "4",
         "--output-dir", "%s/%s/rank-estimate" % (out, name))
 EOF
-    rm "$2/sparse_array.mtx"
 }
 
 write_outputs "$tmp/ref/src" "$tmp/out-ref"

@@ -367,7 +367,7 @@ def lsnmf_iterate(v, w, h, params: ParamSet, state: AlternatingState):
 
 
 def snmf_iterate(v, w, h, side: str, eta: float, beta: float,
-                 params: ParamSet = None, state: AlternatingState = None):
+                 params: ParamSet, state: AlternatingState):
     """One alternation of the sparsity-penalized NNLS factorization.
 
     Side "r" makes H sparse: H solves the system stacked with a sqrt(beta)
@@ -377,10 +377,6 @@ def snmf_iterate(v, w, h, side: str, eta: float, beta: float,
     """
     if side not in ("l", "r"):
         raise ParamError("snmf side must be 'l' or 'r'")
-    if params is None:
-        params = ParamSet()
-    if state is None:
-        state = _initial_subproblem_tol(v, w, h, params.pg_tol)
     k = w.shape[1]
     ridge, col_sums = eta * np.eye(k), beta * np.ones((k, k))
     reg_h, reg_w = (col_sums, ridge) if side == "r" else (ridge, col_sums)

@@ -313,32 +313,26 @@ def frobenius_sq(a) -> float:
     return _inner(d, d)
 
 
-def _kl_v_terms(v):
-    """The M-independent terms of kl_div: (flat indices of V's positive
-    entries in row-major order, those entries, sum of V).
+def _kl_v_terms(v: DataMatrix):
+    """The M-independent terms of kl_div, kept on V: (keep, vp, sum_v).
 
-    Raises on a negative V.  A DataMatrix keeps its terms, so the many
-    objective evaluations of a run (or of every run of a rank sweep)
-    compute them once; a CSR matrix gets them from its stored entries.
+    ``keep`` picks V's positive values out of its stored values (a CSR
+    V's `data`, or a dense V in row-major order): a boolean mask, or
+    ``slice(None)`` when every value is positive, so that ``vp`` =
+    vals[keep] is then V's own buffer and M is read through ``keep``
+    without a copy.  ``sum_v`` is the sum of V.  Raises on a negative V.
+    Kept on the matrix, so the many objective evaluations of a run (or of
+    every run of a rank sweep) compute them once.
     """
-    if isinstance(v, DataMatrix) and v._kl_terms is not None:
-        return v._kl_terms
-    if _is_csr(v):
-        vals = v.data
-        flat = _pattern_of(v).rows * v.cols + v.indices
-        total = np.sum(vals)
-    else:
-        vd = _dense_of(v)
-        vals = vd.ravel()
-        flat = None
-        total = np.sum(vd)
-    if vals.size and vals.min() < 0:
-        raise DomainError("kl_div: V must be nonnegative")
-    keep = np.flatnonzero(vals > 0)
-    terms = (keep if flat is None else flat[keep], vals[keep], total)
-    if isinstance(v, DataMatrix):
-        v._kl_terms = terms
-    return terms
+    if v._kl_terms is None:
+        vals = v.data if v.is_sparse else v.dense_view().ravel()
+        if vals.size and vals.min() < 0:
+            raise DomainError("kl_div: V must be nonnegative")
+        keep = vals > 0
+        if keep.all():
+            keep = slice(None)
+        v._kl_terms = (keep, vals[keep], np.sum(vals))
+    return v._kl_terms
 
 
 def kl_div(v, m, eps: float = 0.0) -> float:
@@ -347,14 +341,17 @@ def kl_div(v, m, eps: float = 0.0) -> float:
     Uses the convention 0 ln 0 = 0.  With ``eps`` = 0 the call is strict and
     raises on M <= 0 wherever V > 0; a positive ``eps`` clamps M from below
     instead, which keeps objective tracking finite when a reconstruction has
-    exact zeros.
+    exact zeros.  A CSR V is read at its stored entries, without forming
+    its dense array; see `_kl_v_terms` for the record kept on V.
     """
     _check_same_shape(v, m, "kl_div")
-    pos, vp, sum_v = _kl_v_terms(v)
+    v = as_matrix(v)
+    keep, vp, sum_v = _kl_v_terms(v)
     md = _dense_of(m)
     if eps > 0:
         md = np.maximum(md, eps)
-    mp = md.ravel()[pos]
+    mp = md[_pattern_of(v).rows, v.indices] if v.is_sparse else md.ravel()
+    mp = mp[keep]
     if eps <= 0 and np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
     total = float(np.sum(md) - sum_v)
@@ -374,8 +371,8 @@ def kl_div_product(v, w, h, eps: float = 0.0, wh=None) -> float:
     wh = product_on(v, w, h) if wh is None else wh
     if not _is_csr(v):
         return kl_div(v, wh, eps)
-    _, vp, sum_v = _kl_v_terms(v)
-    mp = wh if vp.size == wh.size else wh[v.data > 0]
+    keep, vp, sum_v = _kl_v_terms(v)
+    mp = wh[keep]
     total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
     if eps > 0:
         clamped = np.maximum(mp, eps)

@@ -120,12 +120,6 @@ def feature_scores(w) -> np.ndarray:
     return np.clip(scores, 0.0, 1.0)
 
 
-def select_features(scores, n_std: float = 3.0) -> np.ndarray:
-    """Indices whose score exceeds mean + n_std * standard deviation."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.flatnonzero(scores > scores.mean() + n_std * scores.std())
-
-
 # -- connectivity and consensus ---------------------------------------------
 
 

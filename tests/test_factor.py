@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,8 @@ class TestSnmf:
     def test_bad_side(self):
         with pytest.raises(ParamError):
             snmf_iterate(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)),
-                         "x", 0.0, 0.0)
+                         "x", 0.0, 0.0, ParamSet(),
+                         AlternatingState(tol_w=1e-3, tol_h=1e-3))
 
 
 class TestBmf:
@@ -611,6 +614,25 @@ class TestFactorize:
         np.testing.assert_allclose(trace.objective_per_iter,
                                    dense_trace.objective_per_iter,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["nmf-kl", "nsnmf"])
+    def test_kl_run_memory_on_zero_free_dense_v(self, method):
+        # the KL terms kept on a V without zeros are V's own buffer, and M
+        # is read through them without a gather
+        m, n = 400, 300
+        v = DataMatrix.dense(make_rng(29).uniform(0.5, 1.5, size=(m, n)))
+        cfg = FactorConfig(method=method, rank=5, seed=SeedSpec("random"),
+                           max_iter=5, min_residual_delta=0.0,
+                           conn_change=0, master_seed=3)
+        tracemalloc.start()
+        try:
+            model, _ = factorize(v, cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n_iter == 5
+        assert peak <= 5.0 * 8 * m * n
+        assert kept <= 0.5 * 8 * m * n
 
     @pytest.mark.parametrize("method", ["nmf-eu", "nmf-kl", "lsnmf",
                                         "snmf-r", "nsnmf", "bmf", "icm"])

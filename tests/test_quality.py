@@ -12,7 +12,7 @@ from nmfkit.factor import FactorModel
 from nmfkit.matcore import EPS, DataMatrix, frobenius_sq
 from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
                             distance, evar, feature_scores, fit_summary, rss,
-                            select_features, sparseness, sparseness_vector,
+                            sparseness, sparseness_vector,
                             _average_linkage_cophenetic)
 
 
@@ -144,10 +144,6 @@ class TestFeatureScores:
         rng = make_rng(5)
         scores = feature_scores(rng.uniform(size=(40, 4)))
         assert np.all((scores >= 0) & (scores <= 1))
-
-    def test_selector(self):
-        scores = np.array([0.1] * 30 + [0.99])
-        assert select_features(scores).tolist() == [30]
 
 
 class TestConnectivity:
