@@ -332,9 +332,22 @@ class TestKlCachedTerms:
         sparse = to_csr(v)
         m = rng.uniform(0.01, 1.0, size=v.shape)
         got = kl_div(sparse, m)
-        assert sparse.is_sparse
+        assert sparse._dense_data is None
         assert math.isclose(got, kl_div(v, m), rel_tol=1e-12)
         assert kl_div(sparse, m) == got
+
+    def test_terms_keep_no_position_index(self):
+        # a zero-free V's values are its own buffer; V with zeros keeps a mask
+        v = make_rng(23).uniform(0.5, 1.0, size=(4, 3))
+        for dm in (DataMatrix.dense(v), to_csr(v)):
+            kl_div(dm, np.ones((4, 3)))
+            keep, vp, _ = dm._kl_terms
+            assert keep == slice(None)
+            assert np.shares_memory(
+                vp, dm.data if dm.is_sparse else dm.dense_view())
+        holed = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
+        kl_div(holed, np.ones((2, 2)))
+        assert holed._kl_terms[0].dtype == bool
 
 
 class TestRng:
