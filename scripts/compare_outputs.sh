@@ -10,12 +10,12 @@
 #     30%-density twin both as a dense array with zeros and in
 #     MatrixMarket coordinate format;
 #   - W.mtx, H.mtx and summary.json of `factorize` for the nine methods x
-#     the random_vcol, nndsvda and random seedings, at --rank 4
-#     --max-iter 60 --scale-unit --track-error --master-seed 7, on all
-#     three inputs;
+#     the six seedings the CLI takes (random_vcol, nndsvda, random,
+#     random_c, nndsvd, nndsvdar), at --rank 4 --max-iter 60 --scale-unit
+#     --track-error --master-seed 7, on all three inputs;
 #   - consensus_report.json/.csv of `rank-estimate --method nmf-kl
 #     --ranks 2..4 --runs 5 --master-seed 4` on all three inputs.
-# That is 252 files: 249 outputs and the three inputs.  The script is not
+# That is 495 files: 492 outputs and the three inputs.  The script is not
 # part of check.sh or CI, since some changes alter outputs on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,7 +64,8 @@ for name in ("dense", "sparse_array", "coord"):
     data = "%s/%s.mtx" % (out, name)
     for method in ("nmf-eu", "nmf-kl", "lsnmf", "snmf-l", "snmf-r", "nsnmf",
                    "bmf", "bd", "icm"):
-        for seed in ("random_vcol", "nndsvda", "random"):
+        for seed in ("random_vcol", "nndsvda", "random", "random_c",
+                     "nndsvd", "nndsvdar"):
             run("factorize", "--input", data, "--method", method,
                 "--seed", seed, "--rank", "4", "--max-iter", "60",
                 "--scale-unit", "--track-error", "--master-seed", "7",

@@ -370,16 +370,21 @@ class TestRng:
                         reason="needs two CPUs for two BLAS threads")
     def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
         # 20,000-element reductions, which OpenBLAS's ddot would split
-        # over two threads, and a rank-estimate report built on them
+        # over two threads, a rank-estimate report built on them, the SVD
+        # behind NNDSVD seeding and a factorization seeded by it
         code = textwrap.dedent("""\
-            import contextlib, io, sys
+            import contextlib, hashlib, io, sys
             import numpy as np
+            from nmfkit._svd import jacobi_svd
             from nmfkit.cli import main
             from nmfkit.matcore import frobenius_sq, kl_div
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 v, m = rng.uniform(size=(2, 100, 200))
                 print(kl_div(v, m).hex(), frobenius_sq(m).hex())
+            a = np.random.default_rng(10).uniform(size=(200, 100))
+            usv = b"".join(x.tobytes() for x in jacobi_svd(a))
+            print(hashlib.sha256(usv).hexdigest())
             out = sys.argv[1]
             with contextlib.redirect_stdout(io.StringIO()):
                 main(["synth", "--rows", "100", "--cols", "200", "--rank",
@@ -388,7 +393,11 @@ class TestRng:
                 main(["rank-estimate", "--input", out + "/v.mtx",
                       "--method", "nmf-kl", "--ranks", "2..3", "--runs", "3",
                       "--master-seed", "4", "--output-dir", out])
+                main(["factorize", "--input", out + "/v.mtx", "--method",
+                      "nmf-kl", "--seed", "nndsvda", "--rank", "3",
+                      "--output-dir", out + "/nndsvda"])
             print(open(out + "/consensus_report.json").read())
+            print(open(out + "/nndsvda/summary.json").read())
         """)
         src = str(Path(matcore_mod.__file__).parents[1])
         runs = []

@@ -4,8 +4,8 @@ The cyclic one-pair-at-a-time Jacobi SVD, the per-entry rectified-normal
 sampler and the per-element matrix writer below are the earlier scalar
 code, kept here verbatim in substance.  The Gibbs sampler must reproduce
 their chains bit for bit, and write_matrix their files byte for byte; the
-round-robin Jacobi SVD rotates in a different order, so it must agree to
-rounding.
+QR-preconditioned round-robin Jacobi SVD rotates another matrix in another
+order, so it must agree to rounding.
 """
 
 import math
@@ -19,7 +19,7 @@ import nmfkit.seeding as seeding_mod
 from conftest import make_rng
 from nmfkit import FactorConfig, SeedSpec, factorize
 from nmfkit._svd import jacobi_svd
-from nmfkit.errors import ParamError
+from nmfkit.errors import NumericError, ParamError
 from nmfkit.factor import (ParamSet, _gibbs_factor_sweep, bd_gibbs_step,
                            sample_rectified_normal)
 from nmfkit.matcore import DataMatrix, RngStream, as_matrix
@@ -208,6 +208,21 @@ def rank_deficient(rng, m, n, r):
     return rng.uniform(size=(m, r)) @ rng.uniform(size=(r, n))
 
 
+def _qr_edge_cases():
+    rng = make_rng(48)
+    zero_col = rng.normal(size=(12, 7))
+    zero_col[:, 3] = 0.0  # pivoted last, where its reflector has zero norm
+    base = rng.normal(size=(12, 4))
+    return [("zero_column", zero_col),
+            ("duplicate_columns", base[:, [0, 1, 0, 2, 3, 1, 2]]),
+            ("exact_rank_5", rank_deficient(rng, 200, 50, 5)),
+            ("graded_columns",
+             rng.normal(size=(30, 13)) * np.logspace(0, -12, 13)),
+            ("wide", rng.normal(size=(5, 40)))]
+
+
+QR_EDGE_CASES = _qr_edge_cases()
+
 # (name, matrix, seeding rank k); k never exceeds the numerical rank, so
 # the singular triplets NNDSVD uses are unique up to sign
 SEED_CASES = [
@@ -235,6 +250,26 @@ class TestJacobiOracle:
         _, want, _ = cyclic_jacobi_svd(a)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
         np.testing.assert_allclose(u * got @ vt, a, atol=1e-13 * want[0])
+
+    @pytest.mark.parametrize("name,a", QR_EDGE_CASES,
+                             ids=[case[0] for case in QR_EDGE_CASES])
+    def test_qr_edge_cases_match_cyclic(self, name, a):
+        u, got, vt = jacobi_svd(a)
+        _, want, _ = cyclic_jacobi_svd(a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
+        np.testing.assert_allclose(u * got @ vt, a, atol=1e-13 * want[0])
+
+    def test_zero_singular_value_gives_zero_row_of_vt(self):
+        # m >= n: u = Q J stays orthonormal and vt carries the zero vector
+        a = QR_EDGE_CASES[0][1]
+        u, s, vt = jacobi_svd(a)
+        assert s[-1] == 0.0
+        np.testing.assert_array_equal(vt[-1], 0.0)
+        np.testing.assert_allclose(u.T @ u, np.eye(a.shape[1]), atol=1e-14)
+
+    def test_sweep_limit_raises(self):
+        with pytest.raises(NumericError):
+            jacobi_svd(make_rng(47).normal(size=(20, 10)), max_sweeps=1)
 
     @pytest.mark.parametrize("variant", ["none", "a", "ar"])
     @pytest.mark.parametrize("name,v,k", SEED_CASES,
