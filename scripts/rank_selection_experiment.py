@@ -25,9 +25,10 @@ def main():
     v, _, _ = synth(args.rows, args.cols, args.true_rank,
                     noise_sigma=args.noise, seed=args.master_seed)
     base = FactorConfig(method=args.method, rank=args.ranks[0],
-                        seed=SeedSpec("random_vcol"))
+                        seed=SeedSpec("random_vcol"),
+                        master_seed=args.master_seed)
     sweep = RankSweepConfig(ranks=args.ranks, runs_per_rank=args.runs,
-                            base=base, master_seed=args.master_seed)
+                            base=base)
     report = rank_sweep(v, sweep)
 
     print("rank  cophenetic  dispersion  mean_rss  mean_evar  mean_iter")

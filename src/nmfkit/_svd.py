@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import NumericError
 
+# a pair (p, q) is orthogonal once apq^2 <= (REL_TOL^2) app aqq
+REL_TOL = 1e-14
+
 
 @functools.lru_cache(maxsize=16)
 def _round_robin(n: int):
@@ -71,7 +74,7 @@ def _pivoted_qr(a):
     return perm, at[:, :n].T, ws
 
 
-def jacobi_svd(a, max_sweeps: int = 60, rel_tol: float = 1e-14):
+def jacobi_svd(a, max_sweeps: int = 60):
     """Full SVD of a dense matrix: returns (u, s, vt) with s descending.
 
     u is m x r, s has length r, vt is r x n, with r = min(m, n).  For
@@ -84,13 +87,13 @@ def jacobi_svd(a, max_sweeps: int = 60, rel_tol: float = 1e-14):
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     if m < n:
-        vt, s, ut = jacobi_svd(a.T, max_sweeps, rel_tol)
+        vt, s, ut = jacobi_svd(a.T, max_sweeps)
         return ut.T, s, vt.T
 
     perm, r, ws = _pivoted_qr(a)
     # row i holds column i of G (:n) and column i of J (n:)
     x = np.hstack([r, np.eye(n)])
-    tol2 = rel_tol * rel_tol
+    tol2 = REL_TOL * REL_TOL
     rounds_p, rounds_q = _round_robin(n)
     for _ in range(max_sweeps):
         rotated = False

@@ -83,13 +83,9 @@ def _parse_ranks(text):
 
 
 def _scale_unit(v: DataMatrix) -> DataMatrix:
-    values = v.data if v.is_sparse else v.dense_view()
+    values = v.values
     peak = float(values.max()) if values.size else 0.0
-    if peak <= 0:
-        return v
-    if v.is_sparse:
-        return v.with_values(v.data / peak)
-    return DataMatrix.dense(v.dense_view() / peak)
+    return v.with_values(values / peak) if peak > 0 else v
 
 
 def _add_common_io_flags(p):
@@ -114,8 +110,6 @@ def _add_factorize_flags(p, with_rank=True):
     p.add_argument("--master-seed", type=_at_least(0, int), default=0)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
-    p.add_argument("--sparseness-axis", choices=("columns", "rows"),
-                   default="columns")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="method parameter, e.g. --param theta=0.3")
     p.add_argument("--output-dir", default="out")
@@ -177,8 +171,7 @@ def cmd_rank_estimate(args) -> int:
     v = _read_input(args)
     ranks = _parse_ranks(args.ranks)
     base = _build_config(args, ranks[0])
-    sweep = RankSweepConfig(ranks=ranks, runs_per_rank=args.runs, base=base,
-                            master_seed=args.master_seed)
+    sweep = RankSweepConfig(ranks=ranks, runs_per_rank=args.runs, base=base)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = rank_sweep(v, sweep)
@@ -238,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factorize_flags(p)
     p.add_argument("--track-error", action="store_true",
                    help="record the per-iteration objective in the summary")
+    p.add_argument("--sparseness-axis", choices=("columns", "rows"),
+                   default="columns")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("rank-estimate",

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import (DomainError, MethodError, ParamError, RankError,
                      out_of_memory)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
-                      kl_div_product, matmul, product_on, safe_divide,
-                      safe_divide_product)
+                      matmul, product_on, safe_divide, safe_divide_product)
 from .seeding import SeedSpec, seed_factors
 
 # method id -> the kind of objective its iterations descend
@@ -152,21 +151,16 @@ def reconstruct(model: FactorModel) -> np.ndarray:
 def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     """Euclidean (squared Frobenius residual) or KL objective of a model.
 
-    The KL form clamps the reconstruction at machine epsilon so that exact
-    zeros in the factors keep the value finite.  For a CSR V the KL form
-    works on V's stored entries without forming the reconstruction
-    (`kl_div_product`); it drops the clamp where V is zero, so it can read
-    below the dense value by at most EPS per zero entry of V.  ``wh`` is
-    `product_on(v, basis_of(model), model.H)`, formed here if not given.
+    The KL form is `kl_div` with the reconstruction clamped at machine
+    epsilon, so that exact zeros in the factors keep the value finite.
+    ``wh`` is `product_on(v, basis_of(model), model.H)`, formed if not given.
     """
     v = as_matrix(v)
     basis = basis_of(model)
     if kind == "euclidean":
         return _residual_sq(v, basis, model.H)
-    if kind == "kl" and v.is_sparse:
-        return kl_div_product(v, basis, model.H, EPS, wh)
     if kind == "kl":
-        return kl_div(v, basis @ model.H if wh is None else wh, eps=EPS)
+        return kl_div(v, basis, model.H, EPS, wh)
     raise ParamError("unknown objective kind %r" % (kind,))
 
 
@@ -520,7 +514,7 @@ def factorize(v, config: FactorConfig):
         raise RankError("rank %d out of range [1, %d]"
                         % (config.rank, min(m, n)))
     _check_ranges(config)
-    values = v.data if v.is_sparse else v.dense_view()
+    values = v.values
     peak = float(np.max(values)) if values.size else 0.0
     if method == "bmf" and peak > 1.0:
         raise DomainError("bmf requires V scaled into [0, 1]")

@@ -4,8 +4,9 @@ The factorization loops only ever need a handful of operations on the data
 matrix: products against dense factors, elementwise quotients on the stored
 pattern, norms and reductions.  Products (`matmul`), W H on V's pattern
 (`product_on`), the quotient V / (W H) (`safe_divide_product`), the KL
-divergence (`kl_div_product`), sums and norms have CSR kernels that never
-form an m x n array.  `dense_view` materializes (and caches) the dense
+divergence of W H from V (`kl_div`), sums and norms have CSR kernels that
+never form an m x n array; this module is the one place that asks whether
+V is dense or CSR.  `dense_view` materializes (and caches) the dense
 array for the callers that still want one: `factor._residual_sq` (so the
 Euclidean and penalized objectives, bd/icm's noise variance and
 `quality.rss`), `factor.pg_nnls`, NNDSVD seeding and array/CSV output.
@@ -16,6 +17,8 @@ its gemm can differ in its last bits between BLAS thread counts.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 import numpy as np
 
@@ -29,8 +32,8 @@ class DataMatrix:
     """Immutable dense or CSR matrix.
 
     Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`, or
-    :meth:`with_values` for new values on a CSR pattern.  The instance owns
-    its buffers; they are marked read-only after validation.
+    :meth:`with_values` for new values in an existing layout.  The instance
+    owns its buffers; they are marked read-only after validation.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data",
@@ -103,16 +106,20 @@ class DataMatrix:
         np.cumsum(np.bincount(ri, minlength=rows), out=indptr[1:])
         return cls.csr(indptr, ci, vv, (rows, cols))
 
-    def with_values(self, data) -> "DataMatrix":
-        """CSR matrix with this one's pattern and the given stored values.
+    def with_values(self, values) -> "DataMatrix":
+        """This matrix's layout with new stored values, ordered as `values`.
 
-        The result shares the index arrays and their cached pattern; `data`
-        is taken over (marked read-only) without validation.
+        A CSR result shares the index arrays and their cached pattern; a
+        dense one reads `values` in row-major order.  `values` is taken
+        over (marked read-only) without validation.
         """
+        values.flags.writeable = False
+        if not self.is_sparse:
+            return DataMatrix(self.rows, self.cols,
+                              dense_data=values.reshape(self.shape))
         out = DataMatrix(self.rows, self.cols, indptr=self.indptr,
-                         indices=self.indices, data=data)
+                         indices=self.indices, data=values)
         out._pattern = _pattern_of(self)
-        data.flags.writeable = False
         return out
 
     # -- basic introspection -------------------------------------------------
@@ -126,6 +133,12 @@ class DataMatrix:
         """True for a CSR matrix, also after `dense_view` has cached the
         dense array."""
         return self.indptr is not None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stored values: a CSR matrix's `data`, or a read-only
+        row-major view of the dense array."""
+        return self.data if self.is_sparse else self._dense_data.ravel()
 
     @property
     def nnz(self) -> int:
@@ -154,7 +167,7 @@ class DataMatrix:
 
     def require_model_input(self, what="matrix"):
         """Enforce the factorization-input contract: finite and nonnegative."""
-        vals = self.data if self.is_sparse else self._dense_data
+        vals = self.values
         if not np.all(np.isfinite(vals)):
             raise DomainError("%s contains non-finite entries" % what)
         if vals.size and vals.min() < 0:
@@ -252,16 +265,12 @@ def matmul(a, b) -> np.ndarray:
 
 # -- elementwise -------------------------------------------------------------
 
-def _check_same_shape(a, b, op):
+def safe_divide(a, b) -> np.ndarray:
+    """Elementwise a / (b + EPS); EPS keeps every denominator nonzero."""
     if _shape_of(a) != _shape_of(b):
-        raise ShapeError("%s: operand shapes %s and %s differ"
-                         % (op, _shape_of(a), _shape_of(b)))
-
-
-def safe_divide(a, b, eps: float = EPS) -> np.ndarray:
-    """Elementwise a / (b + eps); eps keeps every denominator nonzero."""
-    _check_same_shape(a, b, "safe_divide")
-    return _dense_of(a) / (_dense_of(b) + eps)
+        raise ShapeError("safe_divide: operand shapes %s and %s differ"
+                         % (_shape_of(a), _shape_of(b)))
+    return _dense_of(a) / (_dense_of(b) + EPS)
 
 
 def _check_factors(v, w, h, op):
@@ -283,7 +292,7 @@ def product_on(v, w, h) -> np.ndarray:
     return matmul(w, h)
 
 
-def safe_divide_product(v, w, h, eps: float = EPS, wh=None):
+def safe_divide_product(v, w, h, wh=None):
     """safe_divide(V, W @ H) without densifying a sparse V.
 
     For CSR input the quotient is only evaluated on the stored pattern
@@ -293,8 +302,8 @@ def safe_divide_product(v, w, h, eps: float = EPS, wh=None):
     """
     wh = product_on(v, w, h) if wh is None else wh
     if _is_csr(v):
-        return v.with_values(v.data / (wh + eps))
-    return safe_divide(v, wh, eps)
+        return v.with_values(v.data / (wh + EPS))
+    return safe_divide(v, wh)
 
 
 # -- reductions --------------------------------------------------------------
@@ -307,25 +316,22 @@ def _inner(a, b) -> float:
 
 def frobenius_sq(a) -> float:
     """Sum of squared entries; the same bits at every BLAS thread count."""
-    if _is_csr(a):
-        return _inner(a.data, a.data)
-    d = _dense_of(a).ravel()
+    d = a.values if isinstance(a, DataMatrix) else _dense_of(a).ravel()
     return _inner(d, d)
 
 
 def _kl_v_terms(v: DataMatrix):
     """The M-independent terms of kl_div, kept on V: (keep, vp, sum_v).
 
-    ``keep`` picks V's positive values out of its stored values (a CSR
-    V's `data`, or a dense V in row-major order): a boolean mask, or
-    ``slice(None)`` when every value is positive, so that ``vp`` =
-    vals[keep] is then V's own buffer and M is read through ``keep``
-    without a copy.  ``sum_v`` is the sum of V.  Raises on a negative V.
+    ``keep`` picks V's positive values out of `DataMatrix.values`: a
+    boolean mask, or ``slice(None)`` when every value is positive, so that
+    ``vp`` = vals[keep] is then V's own buffer and M is read through
+    ``keep`` without a copy.  ``sum_v`` is the sum of V.  Raises on a negative V.
     Kept on the matrix, so the many objective evaluations of a run (or of
     every run of a rank sweep) compute them once.
     """
     if v._kl_terms is None:
-        vals = v.data if v.is_sparse else v.dense_view().ravel()
+        vals = v.values
         if vals.size and vals.min() < 0:
             raise DomainError("kl_div: V must be nonnegative")
         keep = vals > 0
@@ -335,50 +341,34 @@ def _kl_v_terms(v: DataMatrix):
     return v._kl_terms
 
 
-def kl_div(v, m, eps: float = 0.0) -> float:
-    """Generalized Kullback-Leibler divergence sum(V ln(V/M) - V + M).
+def kl_div(v, w, h, eps: float = 0.0, wh=None) -> float:
+    """Generalized Kullback-Leibler divergence sum(V ln(V/M) - V + M) of
+    the model M = W @ H from V, with the convention 0 ln 0 = 0.
 
-    Uses the convention 0 ln 0 = 0.  With ``eps`` = 0 the call is strict and
-    raises on M <= 0 wherever V > 0; a positive ``eps`` clamps M from below
-    instead, which keeps objective tracking finite when a reconstruction has
-    exact zeros.  A CSR V is read at its stored entries, without forming
-    its dense array; see `_kl_v_terms` for the record kept on V.
+    With ``eps`` = 0 the call is strict and raises on M <= 0 wherever
+    V > 0; a positive ``eps`` clamps M to max(M, eps), which keeps the value
+    finite when a model has exact zeros.  ``wh`` is `product_on(v, w, h)`,
+    formed here if not given.  A dense V clamps M everywhere.  A CSR V
+    forms M only on its stored entries, sums M as (W 1)'(H 1) and clamps
+    only where V > 0, so it can read below the dense V's value by at most
+    eps per zero of V: eps (mn - nnz) without stored zeros.
     """
-    _check_same_shape(v, m, "kl_div")
     v = as_matrix(v)
-    keep, vp, sum_v = _kl_v_terms(v)
-    md = _dense_of(m)
-    if eps > 0:
-        md = np.maximum(md, eps)
-    mp = md[_pattern_of(v).rows, v.indices] if v.is_sparse else md.ravel()
-    mp = mp[keep]
-    if eps <= 0 and np.any(mp <= 0):
-        raise DomainError("kl_div: M must be positive wherever V is positive")
-    total = float(np.sum(md) - sum_v)
-    total += _inner(vp, np.log(vp / mp))
-    return total
-
-
-def kl_div_product(v, w, h, eps: float = 0.0, wh=None) -> float:
-    """kl_div(V, W @ H) without forming W @ H for a CSR V.
-
-    The sum of M is (W 1)'(H 1); M itself is formed on V's stored entries
-    (``wh``, `product_on(v, w, h)`, if given).  The clamp max(M, eps) of
-    ``eps`` > 0 acts where V is positive, not where V is zero, so the value
-    can fall short of kl_div(V, W @ H, eps) by at most eps per zero of V:
-    eps (mn - nnz) without stored zeros.  A dense V goes through kl_div.
-    """
+    _check_factors(v, w, h, "kl_div")
     wh = product_on(v, w, h) if wh is None else wh
-    if not _is_csr(v):
-        return kl_div(v, wh, eps)
     keep, vp, sum_v = _kl_v_terms(v)
-    mp = wh[keep]
-    total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
-    if eps > 0:
-        clamped = np.maximum(mp, eps)
-        total += float(np.sum(clamped - mp))
-        mp = clamped
-    elif np.any(mp <= 0):
+    if v.is_sparse:
+        mp = wh[keep]
+        total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
+        if eps > 0:
+            clamped = np.maximum(mp, eps)
+            total += float(np.sum(clamped - mp))
+            mp = clamped
+    else:
+        md = np.maximum(wh, eps) if eps > 0 else wh
+        mp = md.ravel()[keep]
+        total = float(np.sum(md) - sum_v)
+    if eps <= 0 and np.any(mp <= 0):
         raise DomainError("kl_div: M must be positive wherever V is positive")
     total += _inner(vp, np.log(vp / mp))
     return total
@@ -395,7 +385,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
+        if not isinstance(seed, Integral) or seed < 0:
             raise ParamError("rng seed must be a nonnegative integer")
         self.seed = int(seed)
         self._gen = np.random.Generator(
@@ -434,9 +424,11 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
     The mixing function is numpy's SeedSequence entropy pool, which is
     documented, stable, and collision-resistant; the same tuple always
-    yields the same derived seed.  A negative entry raises ParamError.
+    yields the same derived seed.  An entry that is not a nonnegative
+    integer raises ParamError.
     """
-    if min((master_seed,) + key) < 0:
+    if not all(isinstance(x, Integral) and x >= 0
+               for x in (master_seed,) + key):
         raise ParamError("master seed and keys must be nonnegative integers")
     ss = np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
     return int(ss.generate_state(1, np.uint64)[0])

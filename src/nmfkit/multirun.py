@@ -24,7 +24,6 @@ class RankSweepConfig:
     ranks: list
     runs_per_rank: int
     base: FactorConfig
-    master_seed: int = 0
 
 
 @dataclass
@@ -90,7 +89,8 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
         with out_of_memory("sweeping rank %d on a %dx%d matrix"
                            % (rank, m, n)):
             models, cons = run_many(v, replace(sweep.base, rank=rank),
-                                    sweep.runs_per_rank, sweep.master_seed)
+                                    sweep.runs_per_rank,
+                                    sweep.base.master_seed)
             rsses = [rss(v, mo) for mo in models]
             report.records.append(RankRecord(
                 rank=rank,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, MetricError, RankError, out_of_memory
-from .factor import FactorModel, objective, reconstruct
+from .factor import FactorModel, basis_of, objective
 from .matcore import EPS, as_matrix, frobenius_sq, kl_div
 
 
@@ -54,16 +54,15 @@ def _evar_of_rss(v, r: float) -> float:
 def distance(v, model: FactorModel, metric: str) -> float:
     """Euclidean distance sqrt(rss) or generalized KL divergence.
 
-    The KL form clamps the reconstruction at machine epsilon, keeping the
-    measure finite when converged factors contain exact zeros; for a CSR V
-    it is `objective`'s, at most EPS per zero of V below the dense value.
+    The KL form is `kl_div` with the reconstruction clamped at machine
+    epsilon, keeping the measure finite when converged factors contain
+    exact zeros.
     """
     v = as_matrix(v)
     if metric == "euclidean":
         return math.sqrt(rss(v, model))
     if metric == "kl":
-        return (objective(v, model, "kl") if v.is_sparse
-                else kl_div(v, reconstruct(model), eps=EPS))
+        return kl_div(v, basis_of(model), model.H, EPS)
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 

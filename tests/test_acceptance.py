@@ -7,6 +7,7 @@ criterion.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_c05_rank_estimation():
     hits = 0
     for master_seed in range(10):
         sweep = RankSweepConfig(ranks=[2, 3, 4, 5], runs_per_rank=20,
-                                base=base, master_seed=master_seed)
+                                base=replace(base, master_seed=master_seed))
         report_ = rank_sweep(v, sweep)
         for rec in report_.records:
             assert -1.0 <= rec.cophenetic <= 1.0
@@ -168,7 +169,7 @@ def test_c06_quality_identities():
         assert evar(v, model) == 1.0 - r / frobenius_sq(v)
         d = distance(v, model, "euclidean")
         assert abs(d * d - r) <= 1e-9 * max(r, 1e-30)
-        assert kl_div(v, v) == 0.0
+        assert kl_div(v, v, np.eye(n)) == 0.0
     one_hot = np.zeros(7)
     one_hot[3] = 1.0
     assert sparseness_vector(one_hot) == pytest.approx(1.0)

@@ -357,6 +357,19 @@ class TestRankEstimate:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
 
+    def test_sparseness_axis_is_a_factorize_flag(self, tmp_path,
+                                                 small_matrix):
+        # rank-estimate accepted the flag and ignored it
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", "--ranks", "2", "--runs", "2",
+                     "--max-iter", "10", "--sparseness-axis", "rows",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        code, _ = run_factorize(tmp_path, small_matrix,
+                                extra=["--sparseness-axis", "rows"])
+        assert code == 0
+
     def test_threads_env_is_ignored(self, tmp_path, small_matrix,
                                     monkeypatch):
         monkeypatch.setenv("NMFKIT_THREADS", "abc")

@@ -68,10 +68,10 @@ class TestMuKl:
         v = random_nonneg(rng, 7, 5, low=0.05)
         w = rng.uniform(0.1, 1, size=(7, 2))
         h = rng.uniform(0.1, 1, size=(2, 5))
-        prev = kl_div(v, w @ h)
+        prev = kl_div(v, w, h)
         for _ in range(200):
             w, h = mu_kl_step(v, w, h)
-            cur = kl_div(v, w @ h)
+            cur = kl_div(v, w, h)
             assert cur <= prev + 1e-10
             prev = cur
 
@@ -116,10 +116,10 @@ class TestNsnmf:
         w = rng.uniform(0.1, 1, size=(8, 3))
         h = rng.uniform(0.1, 1, size=(3, 6))
         s = nsnmf_smoothing(0.5, 3)
-        prev = kl_div(v, w @ s @ h)
+        prev = kl_div(v, w @ s, h)
         for _ in range(100):
             w, h = nsnmf_iterate(v, w, h, 0.5)
-            cur = kl_div(v, w @ s @ h)
+            cur = kl_div(v, w @ s, h)
             assert cur <= prev + 1e-10
             prev = cur
             assert w.min() >= 0 and h.min() >= 0
@@ -457,6 +457,13 @@ class TestFactorize:
     def test_setting_of_the_wrong_type(self, settings, message):
         cfg = FactorConfig(method="nmf-eu", rank=1, **settings)
         with pytest.raises(ParamError, match=message):
+            factorize(np.ones((3, 3)), cfg)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3"])
+    def test_master_seed_must_be_an_integer(self, seed):
+        # 1.5 ran as seed 1; NaN raised ValueError and "3" TypeError
+        cfg = FactorConfig(method="nmf-eu", rank=1, master_seed=seed)
+        with pytest.raises(ParamError, match="seed"):
             factorize(np.ones((3, 3)), cfg)
 
     def test_integral_and_optional_settings_accepted(self):

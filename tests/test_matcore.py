@@ -15,8 +15,8 @@ import nmfkit.matcore as matcore_mod
 from nmfkit.errors import (DomainError, NmfkitError, OutOfMemoryError,
                            ParamError, ShapeError)
 from nmfkit.matcore import (EPS, DataMatrix, RngStream, derive_seed,
-                            frobenius_sq, kl_div, kl_div_product, matmul,
-                            safe_divide, safe_divide_product)
+                            frobenius_sq, kl_div, matmul, safe_divide,
+                            safe_divide_product)
 
 
 class TestDataMatrix:
@@ -108,6 +108,16 @@ class TestDataMatrix:
             DataMatrix.dense([[-1.0]]).require_model_input()
         with pytest.raises(DomainError):
             DataMatrix.dense([[np.inf]]).require_model_input()
+
+    def test_values_and_with_values_in_both_layouts(self):
+        dense = np.array([[0.0, 2.0], [3.0, 0.0]])
+        for v, want in ((DataMatrix.dense(dense), [0.0, 2.0, 3.0, 0.0]),
+                        (to_csr(dense), [2.0, 3.0])):
+            np.testing.assert_array_equal(v.values, want)
+            assert not v.values.flags.writeable
+            half = v.with_values(v.values / 2.0)
+            assert half.is_sparse == v.is_sparse
+            np.testing.assert_array_equal(half.to_dense(), dense / 2.0)
 
 
 class TestMatmul:
@@ -206,8 +216,7 @@ class TestCsrKernels:
         v = to_csr(dense)
         q = safe_divide_product(v, w, h)
         matmul(v, h.T), matmul(w.T, v), matmul(q, h.T), matmul(w.T, q)
-        kl_div_product(v, w, h, EPS)
-        kl_div(v, w @ h, EPS)
+        kl_div(v, w, h, EPS)
         frobenius_sq(v)
         assert v._dense_data is None and q._dense_data is None
 
@@ -218,15 +227,15 @@ class TestCsrKernels:
         w[0, :] = 0.0  # a zero row of W H, where the clamp acts
         m, n = dense.shape
         for eps in (EPS, 1e-3):
-            got = kl_div_product(to_csr(dense), w, h, eps)
-            want = kl_div(dense, w @ h, eps)
+            got = kl_div(to_csr(dense), w, h, eps)
+            want = kl_div(dense, w, h, eps)
             assert abs(got - want) <= eps * m * n + 1e-12 * abs(want)
         if dense[0].any():
             with pytest.raises(DomainError):
-                kl_div_product(to_csr(dense), w, h)
+                kl_div(to_csr(dense), w, h)
         else:
-            assert math.isclose(kl_div_product(to_csr(dense), w, h),
-                                kl_div(dense, w @ h), rel_tol=1e-12)
+            assert math.isclose(kl_div(to_csr(dense), w, h),
+                                kl_div(dense, w, h), rel_tol=1e-12)
 
 
 class TestElementwise:
@@ -274,24 +283,24 @@ class TestReductions:
     def test_kl_self_is_zero(self):
         rng = make_rng(1)
         v = rng.uniform(size=(4, 4))
-        assert kl_div(v, v) == 0.0
+        assert kl_div(v, v, np.eye(4)) == 0.0
 
     def test_kl_scalar_case(self):
-        got = kl_div(np.array([[1.0]]), np.array([[math.e]]))
+        got = kl_div(np.array([[1.0]]), np.array([[math.e]]), np.eye(1))
         np.testing.assert_allclose(got, math.e - 2.0, rtol=1e-12)
 
     def test_kl_zero_entry_reduces_to_m(self):
-        got = kl_div(np.array([[0.0]]), np.array([[2.5]]))
+        got = kl_div(np.array([[0.0]]), np.array([[2.5]]), np.eye(1))
         assert got == 2.5
 
     def test_kl_domain_error(self):
         with pytest.raises(DomainError):
-            kl_div(np.array([[1.0]]), np.array([[0.0]]))
+            kl_div(np.array([[1.0]]), np.array([[0.0]]), np.eye(1))
         with pytest.raises(DomainError):
-            kl_div(np.array([[-1.0]]), np.array([[1.0]]))
+            kl_div(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1))
 
     def test_kl_stabilized_is_finite(self):
-        got = kl_div(np.array([[1.0]]), np.array([[0.0]]), eps=EPS)
+        got = kl_div(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), eps=EPS)
         assert np.isfinite(got)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -299,8 +308,9 @@ class TestReductions:
         rng = make_rng(seed)
         v = rng.uniform(0.01, 1.0, size=(5, 5))
         m = rng.uniform(0.01, 1.0, size=(5, 5))
-        assert kl_div(v, m) > 0.0  # distinct matrices: strictly positive
-        assert kl_div(v, v) == 0.0
+        # distinct matrices: strictly positive
+        assert kl_div(v, m, np.eye(5)) > 0.0
+        assert kl_div(v, v, np.eye(5)) == 0.0
 
 
 class TestKlCachedTerms:
@@ -311,42 +321,52 @@ class TestKlCachedTerms:
         dm = DataMatrix.dense(v)
         for _ in range(10):
             m = rng.uniform(0.01, 1.0, size=v.shape)
-            assert kl_div(dm, m, eps) == kl_div(v, m, eps)
+            assert (kl_div(dm, m, np.eye(7), eps)
+                    == kl_div(v, m, np.eye(7), eps))
 
     def test_errors_raised_after_cache_filled(self):
         v = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
-        m = np.ones((2, 2))
-        kl_div(v, m)
+        m, eye = np.ones((2, 2)), np.eye(2)
+        kl_div(v, m, eye)
         bad = np.array([[0.0, 1.0], [1.0, 1.0]])  # M = 0 where V > 0
         with pytest.raises(DomainError):
-            kl_div(v, bad)
-        assert np.isfinite(kl_div(v, bad, eps=EPS))
+            kl_div(v, bad, eye)
+        assert np.isfinite(kl_div(v, bad, eye, eps=EPS))
         neg = DataMatrix.dense([[1.0, -1.0], [2.0, 3.0]])
         for _ in range(2):
             with pytest.raises(DomainError):
-                kl_div(neg, m)
+                kl_div(neg, m, eye)
 
     def test_csr_stays_sparse(self):
         rng = make_rng(22)
         v = sparsify(rng, 8, 6, 0.3)
         sparse = to_csr(v)
         m = rng.uniform(0.01, 1.0, size=v.shape)
-        got = kl_div(sparse, m)
+        got = kl_div(sparse, m, np.eye(6))
         assert sparse._dense_data is None
-        assert math.isclose(got, kl_div(v, m), rel_tol=1e-12)
-        assert kl_div(sparse, m) == got
+        assert math.isclose(got, kl_div(v, m, np.eye(6)), rel_tol=1e-12)
+        assert kl_div(sparse, m, np.eye(6)) == got
+
+    @pytest.mark.parametrize("layout", [DataMatrix.dense, to_csr])
+    def test_nonconforming_factors_raise_shape_error(self, layout):
+        v = layout(np.ones((3, 4)))
+        for w, h in ((np.ones((2, 2)), np.ones((2, 4))),
+                     (np.ones((3, 2)), np.ones((2, 5))),
+                     (np.ones((3, 2)), np.ones((3, 4)))):
+            with pytest.raises(ShapeError, match="kl_div"):
+                kl_div(v, w, h)
 
     def test_terms_keep_no_position_index(self):
         # a zero-free V's values are its own buffer; V with zeros keeps a mask
         v = make_rng(23).uniform(0.5, 1.0, size=(4, 3))
         for dm in (DataMatrix.dense(v), to_csr(v)):
-            kl_div(dm, np.ones((4, 3)))
+            kl_div(dm, np.ones((4, 3)), np.eye(3))
             keep, vp, _ = dm._kl_terms
             assert keep == slice(None)
             assert np.shares_memory(
                 vp, dm.data if dm.is_sparse else dm.dense_view())
         holed = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
-        kl_div(holed, np.ones((2, 2)))
+        kl_div(holed, np.ones((2, 2)), np.eye(2))
         assert holed._kl_terms[0].dtype == bool
 
 
@@ -381,7 +401,8 @@ class TestRng:
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 v, m = rng.uniform(size=(2, 100, 200))
-                print(kl_div(v, m).hex(), frobenius_sq(m).hex())
+                print(kl_div(v, m, np.eye(200)).hex(),
+                      frobenius_sq(m).hex())
             a = np.random.default_rng(10).uniform(size=(200, 100))
             usv = b"".join(x.tobytes() for x in jacobi_svd(a))
             print(hashlib.sha256(usv).hexdigest())
@@ -420,6 +441,16 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParamError):
             RngStream(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 ran as seed 1; NaN raised ValueError and "3" TypeError
+        with pytest.raises(ParamError, match="seed"):
+            RngStream(seed)
+        with pytest.raises(ParamError, match="master seed"):
+            derive_seed(seed, 2)
+        with pytest.raises(ParamError, match="master seed"):
+            derive_seed(2, seed)
 
     def test_choice_without_replacement(self):
         picks = RngStream(3).choice_without_replacement(10, 10)

@@ -12,9 +12,10 @@ from nmfkit.quality import connectivity
 from nmfkit.seeding import SeedSpec
 
 
-def base_config(method="nmf-kl", rank=2, max_iter=30):
+def base_config(method="nmf-kl", rank=2, max_iter=30, master_seed=0):
     return FactorConfig(method=method, rank=rank, seed=SeedSpec("random_vcol"),
-                        max_iter=max_iter, conn_change=10)
+                        max_iter=max_iter, conn_change=10,
+                        master_seed=master_seed)
 
 
 class TestRunMany:
@@ -62,12 +63,18 @@ class TestRunMany:
             run_many(np.ones((3, 3)), base_config(), runs=2, master_seed=-1)
 
 
+    def test_fractional_master_seed_is_param_error(self):
+        # ran as master seed 1
+        with pytest.raises(ParamError, match="master seed"):
+            run_many(np.ones((3, 3)), base_config(), runs=2, master_seed=1.5)
+
+
 class TestRankSweep:
     def test_single_rank_record(self):
         rng = make_rng(4)
         v = random_nonneg(rng, 10, 8)
         sweep = RankSweepConfig(ranks=[3], runs_per_rank=5,
-                                base=base_config(), master_seed=7)
+                                base=base_config(master_seed=7))
         report = rank_sweep(v, sweep)
         assert len(report.records) == 1
         assert report.records[0].rank == 3
@@ -76,7 +83,7 @@ class TestRankSweep:
     def test_measure_ranges_and_record_count(self):
         v, _, _ = synth(14, 10, 2, noise_sigma=0.02, seed=5)
         sweep = RankSweepConfig(ranks=[2, 3, 4], runs_per_rank=4,
-                                base=base_config(), master_seed=1)
+                                base=base_config(master_seed=1))
         report = rank_sweep(v, sweep)
         assert [r.rank for r in report.records] == [2, 3, 4]
         for rec in report.records:
@@ -91,7 +98,7 @@ class TestRankSweep:
         # consensus (cophenetic 1.0), so the tie must resolve to rank 1
         v, _, _ = synth(12, 9, 2, seed=3)
         sweep = RankSweepConfig(ranks=[1, 2], runs_per_rank=4,
-                                base=base_config(), master_seed=2)
+                                base=base_config(master_seed=2))
         report = rank_sweep(v, sweep)
         recs = {r.rank: r.cophenetic for r in report.records}
         if recs[1] == recs[2]:
@@ -99,13 +106,13 @@ class TestRankSweep:
 
     def test_rank_out_of_range(self):
         sweep = RankSweepConfig(ranks=[9], runs_per_rank=3,
-                                base=base_config(), master_seed=0)
+                                base=base_config(master_seed=0))
         with pytest.raises(RankError):
             rank_sweep(np.ones((4, 4)), sweep)
 
     def test_negative_master_seed_is_param_error(self):
         sweep = RankSweepConfig(ranks=[2], runs_per_rank=2,
-                                base=base_config(), master_seed=-1)
+                                base=base_config(master_seed=-1))
         with pytest.raises(ParamError, match="master seed"):
             rank_sweep(np.ones((4, 4)), sweep)
 
@@ -113,7 +120,7 @@ class TestRankSweep:
         rng = make_rng(5)
         v = random_nonneg(rng, 8, 6)
         sweep = RankSweepConfig(ranks=[2], runs_per_rank=1,
-                                base=base_config(), master_seed=0)
+                                base=base_config(master_seed=0))
         with pytest.warns(UserWarning):
             report = rank_sweep(v, sweep)
         assert len(report.records) == 1
@@ -122,7 +129,7 @@ class TestRankSweep:
         rng = make_rng(6)
         v = random_nonneg(rng, 9, 7)
         sweep = RankSweepConfig(ranks=[2, 3], runs_per_rank=4,
-                                base=base_config(), master_seed=11)
+                                base=base_config(master_seed=11))
         # the sweep has no thread count left to vary: two serial sweeps
         r1 = rank_sweep(v, sweep)
         r2 = rank_sweep(v, sweep)
@@ -132,7 +139,7 @@ class TestRankSweep:
     def test_one_residual_per_model(self, monkeypatch):
         v = random_nonneg(make_rng(7), 9, 7)
         sweep = RankSweepConfig(ranks=[2, 3], runs_per_rank=3,
-                                base=base_config(), master_seed=5)
+                                base=base_config(master_seed=5))
         want = rank_sweep(v, sweep)
         objective = quality_mod.objective
         calls = []
@@ -152,7 +159,7 @@ class TestRankSweep:
 
         monkeypatch.setattr(multirun_mod, "cophenetic", exhausted)
         sweep = RankSweepConfig(ranks=[2], runs_per_rank=2,
-                                base=base_config(), master_seed=0)
+                                base=base_config(master_seed=0))
         with pytest.raises(OutOfMemoryError, match="rank 2 on a 8x6") as info:
             rank_sweep(random_nonneg(make_rng(8), 8, 6), sweep)
         assert info.value.kind == "memory"

@@ -341,7 +341,6 @@ class TestFitSummary:
 
     def test_csr_fit_forms_no_reconstruction(self, monkeypatch):
         import nmfkit.factor as factor_mod
-        import nmfkit.quality as quality_mod
         rng = make_rng(12)
         m, n = 600, 500
         dense = sparsify(rng, m, n, density=0.02)
@@ -355,7 +354,6 @@ class TestFitSummary:
             calls.append(args)
             return reconstruct(*args)
 
-        monkeypatch.setattr(quality_mod, "reconstruct", counted)
         monkeypatch.setattr(factor_mod, "reconstruct", counted)
         r, c = np.nonzero(dense)
         v = DataMatrix.from_coo(r, c, dense[r, c], (m, n))

@@ -1,5 +1,9 @@
 """The in-repo Jacobi SVD is checked against numpy's LAPACK-backed SVD."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,38 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_rng
+import nmfkit._svd as svd_mod
+import nmfkit.seeding as seeding_mod
 from nmfkit._svd import jacobi_svd
+
+# numpy names that reach BLAS or LAPACK
+BLAS_ROUTES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}
+
+
+def blas_routes(source):
+    """Each `@`, BLAS-backed numpy attribute or einsum `optimize=` (which
+    may hand the contraction to tensordot) in `source`, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append(("@", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_ROUTES:
+            found.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append(("einsum optimize=", node.lineno))
+    return found
+
+
+def test_nndsvd_path_calls_no_blas():
+    # NNDSVD seeds must not depend on the BLAS library or its thread count
+    sources = {"_svd.py": inspect.getsource(svd_mod)}
+    for fn in (seeding_mod.seed_nndsvd, seeding_mod._norm):
+        sources[fn.__name__] = inspect.getsource(fn)
+    found = {name: blas_routes(src) for name, src in sources.items()}
+    assert found == {name: [] for name in sources}
 
 
 def check_against_lapack(a, rtol=1e-9):
