@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 import time
 import warnings
 from pathlib import Path
 
-from .errors import NmfkitError
-from .factor import METHODS, FactorConfig, ParamSet, factorize, field_type
+from .errors import NmfkitError, field_type
+from .factor import METHODS, FactorConfig, ParamSet, factorize
 from .matcore import DataMatrix
 from .mio import read_matrix, synth, write_matrix, write_summary
 from .multirun import RankSweepConfig, rank_sweep
@@ -42,9 +43,7 @@ def _at_least(low, cast):
     return parse
 
 
-# the cast of each ParamSet field ("int | None" is int)
-_PARAM_TYPES = {f.name: field_type(ParamSet, f.name)[0]
-                for f in dataclasses.fields(ParamSet)}
+_PARAM_TYPES = {f.name: field_type(f)[0] for f in dataclasses.fields(ParamSet)}
 
 
 def _parse_params(pairs) -> ParamSet:
@@ -100,14 +99,18 @@ def _add_factorize_flags(p, with_rank=True):
     if with_rank:
         p.add_argument("--rank", required=True, type=_at_least(1, int))
     # no flag supplies W0 and H0, so `fixed` seeding is library-only
-    p.add_argument("--seed", default="random_vcol",
+    p.add_argument("--seed", default=SeedSpec.kind,
                    choices=[s for s in SEED_METHOD_NAMES if s != "fixed"])
-    p.add_argument("--max-iter", type=_at_least(1, int), default=200)
-    p.add_argument("--min-delta", type=_at_least(0.0, float), default=1e-5,
+    p.add_argument("--max-iter", type=_at_least(1, int),
+                   default=FactorConfig.max_iter)
+    p.add_argument("--min-delta", type=_at_least(0.0, float),
+                   default=FactorConfig.min_residual_delta,
                    help="relative objective improvement below which to stop")
-    p.add_argument("--conn-change", type=_at_least(0, int), default=30,
+    p.add_argument("--conn-change", type=_at_least(0, int),
+                   default=FactorConfig.conn_change,
                    help="connectivity-stability stopping window (0 disables)")
-    p.add_argument("--master-seed", type=_at_least(0, int), default=0)
+    p.add_argument("--master-seed", type=_at_least(0, int),
+                   default=FactorConfig.master_seed)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
@@ -186,8 +189,7 @@ def cmd_rank_estimate(args) -> int:
     with open(outdir / "consensus_report.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(records[0]) + "\n")  # RankRecord's field names
         for rec in records:
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % tuple(rec.values()))
+            fh.write(",".join("%.17g" % x for x in rec.values()) + "\n")
     print("Recommended rank: %d" % report.recommended_rank)
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
     print("rank-estimate finished in %d ms; outputs in %s"
@@ -232,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-error", action="store_true",
                    help="record the per-iteration objective in the summary")
     p.add_argument("--sparseness-axis", choices=("columns", "rows"),
-                   default="columns")
+                   default=inspect.signature(fit_summary).parameters[
+                       "sparseness_axis"].default)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("rank-estimate",

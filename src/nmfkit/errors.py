@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all nmfkit modules.
+"""Exception hierarchy shared by all nmfkit modules, and the settings check.
 
 Every error carries a stable ``kind`` label so callers (and the CLI exit
 logic) can dispatch without parsing messages.
 """
 
 from contextlib import contextmanager
+from dataclasses import MISSING, field, fields
+from numbers import Integral, Real
 
 
 class NmfkitError(Exception):
@@ -71,3 +73,39 @@ def out_of_memory(doing: str):
         if isinstance(exc, ValueError) and "array is too big" not in str(exc):
             raise
         raise OutOfMemoryError("out of memory " + doing) from exc
+
+
+def setting(interval: str, default=MISSING):
+    """A dataclass field that `check_settings` keeps in `interval`."""
+    return field(default=default, metadata={"range": interval})
+
+
+def field_type(f):
+    """(int or float, takes None) of a numeric field; "int | None" is int."""
+    kind = f.type
+    return (int if kind.startswith("int") else float), kind.endswith("| None")
+
+
+def check_settings(record, prefix=""):
+    """Raise ParamError, naming the field after `prefix`, for a `setting` of
+    the dataclass `record` of the wrong type (`field_type`), not finite or
+    outside its interval.  A field with a "prefix" in its metadata holds an
+    instance of its default factory, checked in turn under that prefix."""
+    for f in fields(record):
+        x, interval = getattr(record, f.name), f.metadata.get("range")
+        if "prefix" in f.metadata:
+            if not isinstance(x, f.default_factory):
+                raise ParamError("%s%s must be of type %s, got %r" % (
+                    prefix, f.name, f.default_factory.__name__, x))
+            check_settings(x, f.metadata["prefix"])
+        cast, none_ok = field_type(f)
+        if interval is None or (x is None and none_ok):
+            continue
+        if not isinstance(x, Integral if cast is int else Real):
+            raise ParamError("%s%s must be of type %s%s, got %r" % (
+                prefix, f.name, cast.__name__, " | None" * none_ok, x))
+        low, high = (float(b) for b in interval[1:-1].split(", "))
+        if not ((low < x if interval[0] == "(" else low <= x)
+                and (x < high if interval[-1] == ")" else x <= high)):
+            raise ParamError("%s%s must be finite and lie in %s, got %r"
+                             % (prefix, f.name, interval, x))

@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (DomainError, MethodError, ParamError, RankError,
-                     out_of_memory)
+                     check_settings, out_of_memory, setting)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
                       matmul, product_on, safe_divide, safe_divide_product)
 from .seeding import SeedSpec, seed_factors
@@ -51,73 +51,37 @@ class ParamSet:
     burn_in defaults to half of max_iter.
     """
 
-    theta: float = 0.5
-    eta: float | None = None
-    beta: float = 1e-4
-    lambda0: float = 1.1
-    lambda_growth: float = 10.0
-    lambda_period: int = 100
-    alpha_rate: float = 0.0
-    beta_rate: float = 0.0
-    sigma_shape: float = 0.0
-    sigma_scale: float = 0.0
-    burn_in: int | None = None
-    pg_tol: float = 1e-4
-    inner_max_iter: int = 20
-    armijo_beta: float = 0.1
-    armijo_sigma: float = 0.01
-
-
-# the allowed interval of each FactorConfig setting and ParamSet field (no
-# NaN or infinity; an `int` field takes an integer, `| None` also None)
-_SETTING_RANGES = {
-    "max_iter": "[1, inf)", "min_residual_delta": "[0, inf)",
-    "conn_change": "[0, inf)", "track_factors": "[0, inf)"}
-_PARAM_RANGES = {
-    "theta": "[0, 1]", "eta": "[0, inf)", "beta": "[0, inf)",
-    "lambda0": "(0, inf)", "lambda_growth": "[1, inf)",
-    "lambda_period": "[1, inf)", "alpha_rate": "[0, inf)",
-    "beta_rate": "[0, inf)", "sigma_shape": "[0, inf)",
-    "sigma_scale": "[0, inf)", "burn_in": "[0, inf)", "pg_tol": "[0, inf)",
-    "inner_max_iter": "[1, inf)", "armijo_beta": "(0, 1)",
-    "armijo_sigma": "(0, 1)"}
-
-
-def field_type(record, name):
-    """(int or float, takes None) of a FactorConfig/ParamSet field's type."""
-    kind = record.__annotations__[name]
-    return (int if kind.startswith("int") else float), kind.endswith("| None")
-
-
-def _check_ranges(config: FactorConfig):
-    for record, prefix, ranges in ((config, "", _SETTING_RANGES), (
-            config.params, "method parameter ", _PARAM_RANGES)):
-        for name, interval in ranges.items():
-            x, (cast, none_ok) = getattr(record, name), field_type(record, name)
-            if x is None and none_ok:
-                continue
-            if not isinstance(x, Integral if cast is int else Real):
-                raise ParamError("%s%s must be of type %s%s, got %r" % (
-                    prefix, name, cast.__name__, " | None" * none_ok, x))
-            low, high = (float(b) for b in interval[1:-1].split(", "))
-            if not ((low < x if interval[0] == "(" else low <= x)
-                    and (x < high if interval[-1] == ")" else x <= high)):
-                raise ParamError("%s%s must be finite and lie in %s, got %r"
-                                 % (prefix, name, interval, x))
+    theta: float = setting("[0, 1]", 0.5)
+    eta: float | None = setting("[0, inf)", None)
+    beta: float = setting("[0, inf)", 1e-4)
+    lambda0: float = setting("(0, inf)", 1.1)
+    lambda_growth: float = setting("[1, inf)", 10.0)
+    lambda_period: int = setting("[1, inf)", 100)
+    alpha_rate: float = setting("[0, inf)", 0.0)
+    beta_rate: float = setting("[0, inf)", 0.0)
+    sigma_shape: float = setting("[0, inf)", 0.0)
+    sigma_scale: float = setting("[0, inf)", 0.0)
+    burn_in: int | None = setting("[0, inf)", None)
+    pg_tol: float = setting("[0, inf)", 1e-4)
+    inner_max_iter: int = setting("[1, inf)", 20)
+    armijo_beta: float = setting("(0, 1)", 0.1)
+    armijo_sigma: float = setting("(0, 1)", 0.01)
 
 
 @dataclass
 class FactorConfig:
     method: str
     rank: int
-    seed: SeedSpec = field(default_factory=SeedSpec)
-    max_iter: int = 200
-    min_residual_delta: float = 1e-5
-    conn_change: int = 30
+    seed: SeedSpec = field(default_factory=SeedSpec,
+                           metadata={"prefix": "seed "})
+    max_iter: int = setting("[1, inf)", 200)
+    min_residual_delta: float = setting("[0, inf)", 1e-5)
+    conn_change: int = setting("[0, inf)", 30)
     track_error: bool = False
-    track_factors: int = 0
+    track_factors: int = setting("[0, inf)", 0)
     master_seed: int = 0
-    params: ParamSet = field(default_factory=ParamSet)
+    params: ParamSet = field(default_factory=ParamSet,
+                             metadata={"prefix": "method parameter "})
 
 
 @dataclass
@@ -296,23 +260,6 @@ def _pg_nnls_gram(ata, atb, x0, tol, max_iter, armijo_beta, armijo_sigma):
             # step size underflowed: numerically at a stationary point
             return x, it
     return x, it
-
-
-def pg_nnls(a, b, x0, tol, inner_max_iter=1000, armijo_beta=0.1,
-            armijo_sigma=0.01):
-    """Solve min_{X>=0} ||A X - B||_F^2 from X0 by projected gradient.
-
-    Stops when the projected-gradient norm drops to tol or after
-    inner_max_iter iterations.  Either of A, B may be CSR.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise ParamError("pg_nnls: A and B row counts differ")
-    ad = a.dense_view()
-    x, _ = _pg_nnls_gram(ad.T @ ad, matmul(ad.T, b), x0, tol, inner_max_iter,
-                         armijo_beta, armijo_sigma)
-    return x
 
 
 @dataclass
@@ -500,8 +447,10 @@ def factorize(v, config: FactorConfig):
     conn_change > 0).
     The Gibbs sampler ignores the two early-stopping rules and always runs
     max_iter sweeps, since its objective trace is stochastic rather than
-    descending.  A negative or non-finite V raises DomainError, a setting
-    outside its range ParamError, running out of memory OutOfMemoryError.
+    descending.  A negative or non-finite V raises DomainError, a rank that
+    is not an integer in [1, min(m, n)] RankError, a setting of the wrong
+    type or outside its range ParamError (`check_settings`), running out of
+    memory OutOfMemoryError.
     """
     v = as_matrix(v)
     v.require_model_input("V")
@@ -510,10 +459,11 @@ def factorize(v, config: FactorConfig):
         raise MethodError("unknown method %r (expected one of %s)"
                           % (method, ", ".join(METHODS)))
     m, n = v.shape
-    if not 1 <= config.rank <= min(m, n):
-        raise RankError("rank %d out of range [1, %d]"
+    if not (isinstance(config.rank, Integral)
+            and 1 <= config.rank <= min(m, n)):
+        raise RankError("rank %r out of range [1, %d]"
                         % (config.rank, min(m, n)))
-    _check_ranges(config)
+    check_settings(config)
     values = v.values
     peak = float(np.max(values)) if values.size else 0.0
     if method == "bmf" and peak > 1.0:

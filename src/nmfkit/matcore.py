@@ -9,7 +9,7 @@ never form an m x n array; this module is the one place that asks whether
 V is dense or CSR.  `dense_view` materializes (and caches) the dense
 array for the callers that still want one: `factor._residual_sq` (so the
 Euclidean and penalized objectives, bd/icm's noise variance and
-`quality.rss`), `factor.pg_nnls`, NNDSVD seeding and array/CSV output.
+`quality.rss`), NNDSVD seeding and array/CSV output.
 
 All numeric work is in 64-bit floats.  No reduction over data calls BLAS
 (see `_inner`); only a dense product large enough for OpenBLAS to thread

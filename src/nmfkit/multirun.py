@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ParamError, RankError, out_of_memory
+from .errors import (ParamError, RankError, check_settings, out_of_memory,
+                     setting)
 from .factor import FactorConfig, factorize
 from .matcore import as_matrix, derive_seed
 from .quality import _evar_of_rss, consensus, cophenetic, dispersion, rss
@@ -22,7 +24,7 @@ from .quality import _evar_of_rss, consensus, cophenetic, dispersion, rss
 @dataclass
 class RankSweepConfig:
     ranks: list
-    runs_per_rank: int
+    runs_per_rank: int = setting("[1, inf)")
     base: FactorConfig
 
 
@@ -51,8 +53,8 @@ def run_many(v, config: FactorConfig, runs: int, master_seed: int,
     must be 1.  A failing run aborts the whole batch with its error;
     silently skipped runs would bias the consensus.
     """
-    if runs < 1:
-        raise ParamError("run count must be at least 1")
+    if not (isinstance(runs, Integral) and runs >= 1):
+        raise ParamError("run count must be an integer >= 1, got %r" % (runs,))
     if threads != 1:
         raise ParamError("runs execute serially; threads must be 1")
     v = as_matrix(v)
@@ -71,15 +73,17 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
     """
     v = as_matrix(v)
     m, n = v.shape
-    ranks = sorted(set(int(r) for r in sweep.ranks))
+    ranks = set(sweep.ranks)
+    if not all(isinstance(r, Integral) for r in ranks):
+        raise RankError("candidate ranks must be integers: %r" % (sweep.ranks,))
+    ranks = sorted(int(r) for r in ranks)  # a numpy integer as an int
     if not ranks:
         raise RankError("rank sweep needs at least one candidate rank")
     for r in ranks:
         if not 1 <= r <= min(m, n):
             raise RankError("candidate rank %d out of range [1, %d]"
                             % (r, min(m, n)))
-    if sweep.runs_per_rank < 1:
-        raise ParamError("runs_per_rank must be at least 1")
+    check_settings(sweep)
     if sweep.runs_per_rank < 2:
         warnings.warn("consensus over a single run is degenerate; "
                       "stability statistics are not informative")

@@ -4,6 +4,7 @@ Methods: uniform random, fixed factors, Random C (dense-column centroids),
 Random Vcol (column/row centroids), and NNDSVD with the zero-filling
 variants ``a`` and ``ar``.  A SeedSpec names one of the seven methods in
 SEED_METHOD_NAMES; the three NNDSVD names select seed_nndsvd's variant.
+The rank and the SeedSpec's ranges are checked by `factorize`, not here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._svd import jacobi_svd
-from .errors import ParamError, RankError, SeedError
+from .errors import ParamError, SeedError, setting
 from .matcore import RngStream, as_matrix, matmul
 
 # Stable identifiers accepted by the CLI and by SeedSpec.from_name.
@@ -32,10 +33,10 @@ class SeedSpec:
     """
 
     kind: str = "random_vcol"
-    p_cols: int | None = None
-    p_rows: int | None = None
-    dense_fraction: float = 0.2
-    scale: float = 1.0
+    p_cols: int | None = setting("[1, inf)", None)
+    p_rows: int | None = setting("[1, inf)", None)
+    dense_fraction: float = setting("(0, 1]", 0.2)
+    scale: float = setting("(0, inf)", 1.0)
     w0: np.ndarray | None = None
     h0: np.ndarray | None = None
 
@@ -47,16 +48,8 @@ class SeedSpec:
         return cls(kind=name, **kwargs)
 
 
-def _check_rank(m: int, n: int, k: int):
-    if not 1 <= k <= min(m, n):
-        raise RankError("rank %d out of range [1, %d]" % (k, min(m, n)))
-
-
 def seed_random(m, n, k, rng: RngStream, scale: float = 1.0):
     """W, H with i.i.d. uniform entries on [0, scale)."""
-    _check_rank(m, n, k)
-    if scale <= 0:
-        raise ParamError("random seeding scale must be positive")
     w = rng.uniform(size=(m, k), high=scale)
     h = rng.uniform(size=(k, n), high=scale)
     return w, h
@@ -87,7 +80,6 @@ def seed_random_vcol(v, k, p_cols=None, p_rows=None, rng: RngStream = None):
     """
     v = as_matrix(v)
     m, n = v.shape
-    _check_rank(m, n, k)
     if p_cols is None:
         p_cols = math.ceil(n / 5)
     if p_rows is None:
@@ -111,9 +103,6 @@ def seed_random_c(v, k, p_cols=None, dense_fraction: float = 0.2,
     """
     v = as_matrix(v)
     m, n = v.shape
-    _check_rank(m, n, k)
-    if not 0 < dense_fraction <= 1:
-        raise ParamError("dense_fraction must lie in (0, 1]")
     if p_cols is None:
         p_cols = math.ceil(n / 5)
     pool_size = math.ceil(dense_fraction * n)
@@ -151,7 +140,6 @@ def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
     """
     v = as_matrix(v)
     m, n = v.shape
-    _check_rank(m, n, k)
     if variant not in ("none", "a", "ar"):
         raise ParamError("unknown nndsvd variant %r" % (variant,))
     vd = v.dense_view()

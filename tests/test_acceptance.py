@@ -91,7 +91,8 @@ def test_c02_fixed_point_suite():
 
 
 def test_c03_nnls_oracle_equivalence():
-    """pg_nnls equals brute-force KKT enumeration on 200 problems."""
+    """Projected-gradient NNLS equals brute-force KKT enumeration on 200
+    problems."""
     rng = np.random.default_rng(314)
     worst = 0.0
     for _ in range(200):

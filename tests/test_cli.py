@@ -8,6 +8,7 @@ import pytest
 import nmfkit.cli as cli_mod
 import nmfkit.matcore as matcore_mod
 from nmfkit.cli import main
+from nmfkit.factor import FactorConfig
 from nmfkit.mio import read_matrix
 
 
@@ -110,6 +111,12 @@ class TestExitCodes:
         code, _ = run_factorize(tmp_path, small_matrix,
                                 extra=["--param", "warp=1"])
         assert code == 2
+
+    def test_flag_defaults_are_the_record_defaults(self):
+        args = cli_mod.build_parser().parse_args(
+            ["factorize", "--input", "v.mtx", "--method", "nmf-eu",
+             "--rank", "2"])
+        assert cli_mod._build_config(args, 2) == FactorConfig("nmf-eu", 2)
 
     def test_param_values_take_the_field_type(self):
         # the casts follow ParamSet's annotations ("int | None" is int)

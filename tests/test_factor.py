@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
                            snmf_objective, _initial_subproblem_tol)
 from nmfkit.matcore import DataMatrix, RngStream, frobenius_sq, kl_div, matmul
 from nmfkit.mio import synth
+from nmfkit.multirun import RankSweepConfig
 from nmfkit.seeding import SeedSpec, seed_factors
 
 
@@ -421,6 +423,13 @@ class TestFactorize:
         with pytest.raises(RankError):
             factorize(np.ones((3, 4)), FactorConfig(method="nmf-eu", rank=4))
 
+    @pytest.mark.parametrize("rank", [2.5, "2"])
+    def test_rank_must_be_an_integer(self, rank):
+        # a TypeError at the parent, from the seeding or the range test
+        with pytest.raises(RankError, match="^rank .* out of range"):
+            factorize(np.ones((3, 3)), FactorConfig(method="nmf-eu",
+                                                    rank=rank))
+
     @pytest.mark.parametrize("name, value", [
         ("theta", 1.5), ("eta", -1.0), ("lambda_growth", float("inf")),
         ("lambda0", 0.0), ("sigma_scale", -1.0), ("burn_in", -1),
@@ -453,11 +462,35 @@ class TestFactorize:
         ({"params": ParamSet(burn_in=2.0)}, "^method parameter burn_in "
          r"must be of type int \| None, got 2.0$"),
         ({"params": ParamSet(pg_tol=None)},
-         "^method parameter pg_tol must be of type float, got None$")])
+         "^method parameter pg_tol must be of type float, got None$"),
+        # a TypeError at the parent, from the seeding
+        ({"seed": SeedSpec(p_cols=2.5)},
+         r"^seed p_cols must be of type int \| None, got 2.5$"),
+        ({"seed": SeedSpec(p_cols="2")},
+         r"^seed p_cols must be of type int \| None, got '2'$"),
+        # an OverflowError at the parent
+        ({"seed": SeedSpec("random", scale=float("nan"))},
+         r"^seed scale must be finite and lie in \(0, inf\), got nan$"),
+        ({"seed": SeedSpec("random", scale=float("inf"))},
+         r"^seed scale must be finite and lie in \(0, inf\), got inf$"),
+        # records of the wrong type: an AttributeError at the parent
+        ({"seed": "random"}, "^seed must be of type SeedSpec, got 'random'$"),
+        ({"params": {"theta": 0.3}},
+         r"^params must be of type ParamSet, got \{'theta': 0.3\}$")])
     def test_setting_of_the_wrong_type(self, settings, message):
         cfg = FactorConfig(method="nmf-eu", rank=1, **settings)
         with pytest.raises(ParamError, match=message):
             factorize(np.ones((3, 3)), cfg)
+
+    @pytest.mark.parametrize("record", [FactorConfig, ParamSet, SeedSpec,
+                                        RankSweepConfig])
+    def test_every_numeric_setting_has_a_range(self, record):
+        # rank's range depends on V (RankError); master_seed is checked by
+        # the random stream
+        unchecked = {"rank", "master_seed"}
+        for f in dataclasses.fields(record):
+            if f.type.split(" | ")[0] in ("int", "float"):
+                assert ("range" in f.metadata) != (f.name in unchecked), f.name
 
     @pytest.mark.parametrize("seed", [1.5, float("nan"), "3"])
     def test_master_seed_must_be_an_integer(self, seed):

@@ -57,6 +57,13 @@ class TestRunMany:
         with pytest.raises(ParamError):
             run_many(np.ones((3, 3)), base_config(), runs=0, master_seed=0)
 
+    @pytest.mark.parametrize("runs", [2.5, float("nan"), "2"])
+    def test_run_count_must_be_an_integer(self, runs):
+        # a TypeError at the parent
+        with pytest.raises(ParamError, match="run count"):
+            run_many(np.ones((3, 3)), base_config(rank=1), runs=runs,
+                     master_seed=0)
+
     def test_negative_master_seed_is_param_error(self):
         # was numpy's "expected non-negative integer" ValueError
         with pytest.raises(ParamError, match="master seed"):
@@ -108,6 +115,20 @@ class TestRankSweep:
         sweep = RankSweepConfig(ranks=[9], runs_per_rank=3,
                                 base=base_config(master_seed=0))
         with pytest.raises(RankError):
+            rank_sweep(np.ones((4, 4)), sweep)
+
+    @pytest.mark.parametrize("ranks, runs, error, message", [
+        # [2.5] ran rank 2; ["2"] too
+        ([2.5], 2, RankError, "^candidate ranks must be integers"),
+        (["2", 3], 2, RankError, "^candidate ranks must be integers"),
+        # a TypeError at the parent
+        ([2], 2.5, ParamError, "^runs_per_rank must be of type int, got 2.5$"),
+        ([2], 0, ParamError, r"^runs_per_rank must be finite and lie in "
+         r"\[1, inf\), got 0$")])
+    def test_sweep_settings_are_typed(self, ranks, runs, error, message):
+        sweep = RankSweepConfig(ranks=ranks, runs_per_rank=runs,
+                                base=base_config(master_seed=0))
+        with pytest.raises(error, match=message):
             rank_sweep(np.ones((4, 4)), sweep)
 
     def test_negative_master_seed_is_param_error(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_nonneg, to_csr
-from nmfkit.errors import ParamError, RankError, SeedError
+from nmfkit.errors import ParamError, SeedError
 from nmfkit.matcore import RngStream, frobenius_sq
 from nmfkit.seeding import (SEED_METHOD_NAMES, SeedSpec, seed_factors,
                             seed_fixed, seed_nndsvd, seed_random,
@@ -31,10 +31,6 @@ class TestSeedRandom:
     def test_scale(self):
         w, h = seed_random(30, 30, 3, RngStream(1), scale=5.0)
         assert w.max() > 1.0 and w.max() < 5.0
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(RankError):
-            seed_random(2, 2, 3, RngStream(0))
 
 
 class TestSeedRandomVcol:
