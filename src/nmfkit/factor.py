@@ -28,7 +28,8 @@ import numpy as np
 from .errors import (DomainError, MethodError, ParamError, RankError,
                      check_settings, out_of_memory, setting)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
-                      matmul, product_on, safe_divide, safe_divide_product)
+                      matmul, product_on, residual_sq, safe_divide,
+                      safe_divide_product)
 from .seeding import SeedSpec, seed_factors
 
 # method id -> the kind of objective its iterations descend
@@ -122,17 +123,10 @@ def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     v = as_matrix(v)
     basis = basis_of(model)
     if kind == "euclidean":
-        return _residual_sq(v, basis, model.H)
+        return residual_sq(v, basis, model.H)
     if kind == "kl":
         return kl_div(v, basis, model.H, EPS, wh)
     raise ParamError("unknown objective kind %r" % (kind,))
-
-
-def _residual_sq(v, w, h) -> float:
-    """The Euclidean residual ||V - W H||_F^2, as W H - V in place."""
-    r = w @ h
-    r -= as_matrix(v).dense_view()
-    return float(frobenius_sq(r))
 
 
 # -- multiplicative updates ----------------------------------------------------
@@ -203,7 +197,7 @@ def bmf_iterate(v, w, h, lam: float):
 
 
 def bmf_objective(v, w, h, lam: float) -> float:
-    res = _residual_sq(v, w, h)
+    res = residual_sq(v, w, h)
     pen_h = float(np.sum((h * (1.0 - h)) ** 2))
     pen_w = float(np.sum((w * (1.0 - w)) ** 2))
     return res + lam * (pen_h + pen_w)
@@ -325,7 +319,7 @@ def snmf_iterate(v, w, h, side: str, eta: float, beta: float,
 
 
 def snmf_objective(v, w, h, side: str, eta: float, beta: float) -> float:
-    res = _residual_sq(v, w, h)
+    res = residual_sq(v, w, h)
     if side == "r":
         return res + eta * frobenius_sq(w) + beta * float(np.sum(h.sum(axis=0) ** 2))
     return res + eta * frobenius_sq(h) + beta * float(np.sum(w.sum(axis=1) ** 2))
@@ -394,7 +388,7 @@ def _conditional_sweeps(v, w, h, sigma2, priors: ParamSet, rng):
     ht = _gibbs_factor_sweep(h.T.copy(), w.T @ w, matmul(w.T, v).T, sigma2,
                              priors.beta_rate, rng, mode_only)
     h = ht.T.copy()
-    scale = _residual_sq(v, w, h) / 2.0 + priors.sigma_scale
+    scale = residual_sq(v, w, h) / 2.0 + priors.sigma_scale
     if mode_only:
         sigma2 = scale / (m * n / 2.0 + priors.sigma_shape + 1.0)
     else:  # inverse-gamma draw
@@ -483,7 +477,7 @@ def _run(v, config: FactorConfig, eta: float):
     state = (_initial_subproblem_tol(v, w, h, params.pg_tol)
              if method in ("lsnmf", "snmf-l", "snmf-r") else None)
     if method in ("bd", "icm"):
-        sigma2 = max(_residual_sq(v, w, h) / (v.rows * v.cols), SIGMA2_FLOOR)
+        sigma2 = max(residual_sq(v, w, h) / (v.rows * v.cols), SIGMA2_FLOOR)
     # bd's posterior sums over the sweeps after burn-in
     burn_in = params.burn_in if params.burn_in is not None \
         else config.max_iter // 2
@@ -566,7 +560,7 @@ def _run(v, config: FactorConfig, eta: float):
 
     if samples > 0:
         w, h = w_sum / samples, h_sum / samples
-        obj = _residual_sq(v, w, h)
+        obj = residual_sq(v, w, h)
 
     model = FactorModel(W=w, H=h, method=method, theta=theta, n_iter=n_iter,
                         final_objective=obj)

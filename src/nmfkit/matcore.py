@@ -4,12 +4,15 @@ The factorization loops only ever need a handful of operations on the data
 matrix: products against dense factors, elementwise quotients on the stored
 pattern, norms and reductions.  Products (`matmul`), W H on V's pattern
 (`product_on`), the quotient V / (W H) (`safe_divide_product`), the KL
-divergence of W H from V (`kl_div`), sums and norms have CSR kernels that
-never form an m x n array; this module is the one place that asks whether
-V is dense or CSR.  `dense_view` materializes (and caches) the dense
-array for the callers that still want one: `factor._residual_sq` (so the
-Euclidean and penalized objectives, bd/icm's noise variance and
-`quality.rss`), NNDSVD seeding and array/CSV output.
+divergence of W H from V (`kl_div`), the residual ||V - W H||^2
+(`residual_sq`), sums and norms have CSR kernels that never form an m x n
+array; this module is the one place that asks whether V is dense or CSR.
+`dense_view` materializes (and caches) the dense array for the callers
+that still want one: NNDSVD seeding and array/CSV output.
+
+The CSR gathers of the factors (nnz x k arrays) go into buffers that each
+thread keeps on V's pattern (`_Pattern.scratch`) and reuses from call to
+call; no kernel returns a view of them.
 
 All numeric work is in 64-bit floats.  No reduction over data calls BLAS
 (see `_inner`); only a dense product large enough for OpenBLAS to thread
@@ -18,6 +21,7 @@ its gemm can differ in its last bits between BLAS thread counts.
 
 from __future__ import annotations
 
+import threading
 from numbers import Integral
 
 import numpy as np
@@ -210,7 +214,7 @@ class _Pattern:
     """
 
     __slots__ = ("rows", "row_ids", "row_starts", "by_col", "col_rows",
-                 "col_ids", "col_starts")
+                 "col_ids", "col_starts", "_local")
 
     def __init__(self, a: DataMatrix):
         counts = np.diff(a.indptr)
@@ -222,6 +226,17 @@ class _Pattern:
         col_counts = np.bincount(a.indices, minlength=a.cols)
         self.col_ids = np.flatnonzero(col_counts)
         self.col_starts = (np.cumsum(col_counts) - col_counts)[self.col_ids]
+        self._local = threading.local()
+
+    def scratch(self, k):
+        """This thread's (nnz x k, k x nnz) float64 gather buffers, made
+        again when k changes.  Reusing them keeps the kernels from asking
+        the allocator for a fresh nnz x k array (a fresh mmap) per call."""
+        bufs = getattr(self._local, "bufs", None)
+        if bufs is None or bufs[1].shape[0] != k:
+            nnz = self.rows.shape[0]
+            bufs = self._local.bufs = (np.empty((nnz, k)), np.empty((k, nnz)))
+        return bufs
 
 
 def _pattern_of(a: DataMatrix) -> _Pattern:
@@ -248,7 +263,8 @@ def matmul(a, b) -> np.ndarray:
         pat = _pattern_of(a)
         out = np.zeros((n, m))
         if a.data.size:
-            terms = _dense_of(b).T.take(a.indices, axis=1) * a.data
+            terms = _gather(_dense_of(b).T, a.indices, 1, pat.scratch(n)[1])
+            terms *= a.data
             out[:, pat.row_ids] = np.add.reduceat(terms, pat.row_starts,
                                                   axis=1)
         return np.ascontiguousarray(out.T)
@@ -256,7 +272,8 @@ def matmul(a, b) -> np.ndarray:
         pat = _pattern_of(b)
         out = np.zeros((m, n))
         if b.data.size:
-            terms = _dense_of(a).take(pat.col_rows, axis=1) * b.data[pat.by_col]
+            terms = _gather(_dense_of(a), pat.col_rows, 1, pat.scratch(m)[1])
+            terms *= b.data[pat.by_col]
             out[:, pat.col_ids] = np.add.reduceat(terms, pat.col_starts,
                                                   axis=1)
         return out
@@ -278,9 +295,13 @@ def _check_factors(v, w, h, op):
         raise ShapeError("%s: factor shapes do not conform" % op)
 
 
-def _product_at(w, h, rows, cols) -> np.ndarray:
-    """The entries (rows[t], cols[t]) of W @ H."""
-    return np.einsum("ij,ji->i", w.take(rows, axis=0), h.take(cols, axis=1))
+def _gather(x, idx, axis, out) -> np.ndarray:
+    """x.take(idx, axis) written into `out`, a scratch buffer of the result's
+    shape.  The caller has validated idx, so mode="clip" clips nothing; it
+    also writes `out` directly, where the default mode copies through a
+    temporary."""
+    return np.take(np.asarray(x, dtype=np.float64), idx, axis=axis, out=out,
+                   mode="clip")
 
 
 def product_on(v, w, h) -> np.ndarray:
@@ -288,7 +309,10 @@ def product_on(v, w, h) -> np.ndarray:
     at V's stored entries, in storage order, for a CSR V."""
     if _is_csr(v):
         _check_factors(v, w, h, "product_on")
-        return _product_at(w, h, _pattern_of(v).rows, v.indices)
+        pat = _pattern_of(v)
+        wbuf, hbuf = pat.scratch(w.shape[1])
+        return np.einsum("ij,ji->i", _gather(w, pat.rows, 0, wbuf),
+                         _gather(h, v.indices, 1, hbuf))
     return matmul(w, h)
 
 
@@ -372,6 +396,31 @@ def kl_div(v, w, h, eps: float = 0.0, wh=None) -> float:
         raise DomainError("kl_div: M must be positive wherever V is positive")
     total += _inner(vp, np.log(vp / mp))
     return total
+
+
+def residual_sq(v, w, h) -> float:
+    """The Euclidean residual ||V - W H||_F^2 of the model W @ H.
+
+    A dense V forms W H - V in place.  A CSR V takes the residual on its
+    stored entries and adds the mass of W H off the pattern,
+    <W'W, H H'> - sum over the pattern of (W H)^2, clamped at 0, so it
+    forms no m x n array.  That difference cancels: it can lose about
+    eps ||W H||_F^2 (a few eps ||W H||_F^2 in tests, at most the length
+    of its sums times that), so a CSR exact fit reads between 0 and that
+    bound, where a dense one reads the rounding of W H - V.
+    """
+    v = as_matrix(v)
+    _check_factors(v, w, h, "residual_sq")
+    if not v.is_sparse:
+        r = w @ h
+        r -= v.dense_view()
+        return frobenius_sq(r)
+    wh = product_on(v, w, h)
+    on = _inner(wh, wh)
+    wh -= v.data
+    total = float(np.einsum("ab,ab->", np.einsum("ia,ib->ab", w, w),
+                            np.einsum("aj,bj->ab", h, h)))
+    return _inner(wh, wh) + max(total - on, 0.0)
 
 
 # -- seeded randomness --------------------------------------------------------

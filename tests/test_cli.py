@@ -180,13 +180,15 @@ class TestExitCodes:
             return zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(matcore_mod.np, "zeros", no_dense_v)
-        code = main(["factorize", "--input", str(path), "--method", "nmf-eu",
-                     "--rank", "2", "--output-dir", str(tmp_path / "out")])
+        # the CSV writer must densify; a factorization keeps a CSR V sparse
+        code = main(["convert", "--input", str(path), "--output",
+                     str(tmp_path / "dense.csv"), "--to", "csv"])
         monkeypatch.undo()
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error (memory): cannot allocate the dense "
                               "13x11 view")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_bare_memory_error_exits_1(self, tmp_path, small_matrix,
