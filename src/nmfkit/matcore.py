@@ -204,7 +204,8 @@ def _is_csr(x) -> bool:
 
 
 class _Pattern:
-    """Index arrays of a CSR pattern, computed once per pattern.
+    """Index arrays of a CSR pattern, computed once per pattern, and each
+    thread's gather buffers for it (`scratch`).
 
     rows        row of each stored entry
     row_ids     the nonempty rows; row_starts their first entry

@@ -8,8 +8,8 @@ import nmfkit.factor as factor_mod
 from conftest import make_rng, random_nonneg, to_csr
 from nmfkit.errors import (DomainError, MethodError, OutOfMemoryError,
                            ParamError, RankError)
-from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
-                           ParamSet, bd_gibbs_step, bmf_iterate,
+from nmfkit.factor import (METHODS, AlternatingState, FactorConfig,
+                           FactorModel, ParamSet, bd_gibbs_step, bmf_iterate,
                            bmf_objective, connectivity_stop, factorize,
                            icm_step, lsnmf_iterate, mu_eu_step, mu_kl_step,
                            nsnmf_iterate, nsnmf_smoothing, objective,
@@ -17,7 +17,8 @@ from nmfkit.factor import (AlternatingState, FactorConfig, FactorModel,
                            snmf_objective, _initial_subproblem_tol)
 from nmfkit.matcore import DataMatrix, RngStream, frobenius_sq, kl_div, matmul
 from nmfkit.mio import synth
-from nmfkit.multirun import RankSweepConfig
+from nmfkit.multirun import RankSweepConfig, rank_sweep
+from nmfkit.quality import fit_summary
 from nmfkit.seeding import SeedSpec, seed_factors
 
 
@@ -654,6 +655,33 @@ class TestFactorize:
         np.testing.assert_allclose(trace.objective_per_iter,
                                    dense_trace.objective_per_iter,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seeding", ["random", "fixed", "random_c",
+                                         "random_vcol"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_csr_v_stays_sparse_through_fit_summary(self, method, seeding):
+        rng = make_rng(30)
+        dense = random_nonneg(rng, 30, 20)
+        dense[dense < 0.7] = 0.0
+        sparse = to_csr(dense)
+        seed = (SeedSpec("fixed", w0=rng.uniform(size=(30, 3)),
+                         h0=rng.uniform(size=(3, 20)))
+                if seeding == "fixed" else SeedSpec(seeding))
+        cfg = FactorConfig(method=method, rank=3, seed=seed, max_iter=6,
+                           track_error=True, master_seed=8)
+        model, _ = factorize(sparse, cfg)
+        fit_summary(sparse, model)
+        assert sparse._dense_data is None
+
+    @pytest.mark.parametrize("method", ["nmf-eu", "nmf-kl"])
+    def test_csr_v_stays_sparse_through_rank_sweep(self, method):
+        dense = random_nonneg(make_rng(31), 30, 20)
+        dense[dense < 0.7] = 0.0
+        sparse = to_csr(dense)
+        sweep = RankSweepConfig(ranks=[2, 3], runs_per_rank=3,
+                                base=FactorConfig(method, 2, max_iter=10))
+        rank_sweep(sparse, sweep)
+        assert sparse._dense_data is None
 
     @pytest.mark.parametrize("method", ["nmf-kl", "nsnmf"])
     def test_kl_run_memory_on_zero_free_dense_v(self, method):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,12 @@ from conftest import make_rng, matmul_oracle, sparsify, to_csr
 import nmfkit.matcore as matcore_mod
 from nmfkit.errors import (DomainError, NmfkitError, OutOfMemoryError,
                            ParamError, ShapeError)
-from nmfkit.matcore import (EPS, DataMatrix, RngStream, derive_seed,
-                            frobenius_sq, kl_div, matmul, safe_divide,
+from nmfkit.factor import FactorConfig, factorize
+from nmfkit.matcore import (EPS, DataMatrix, RngStream, _pattern_of,
+                            derive_seed, frobenius_sq, kl_div, matmul,
+                            product_on, residual_sq, safe_divide,
                             safe_divide_product)
+from nmfkit.seeding import SeedSpec
 
 
 class TestDataMatrix:
@@ -217,8 +221,18 @@ class TestCsrKernels:
         q = safe_divide_product(v, w, h)
         matmul(v, h.T), matmul(w.T, v), matmul(q, h.T), matmul(w.T, q)
         kl_div(v, w, h, EPS)
+        residual_sq(v, w, h)
         frobenius_sq(v)
         assert v._dense_data is None and q._dense_data is None
+
+    def test_residual_matches_dense(self, name, dense):
+        rng = make_rng(6)
+        w = rng.uniform(size=(dense.shape[0], 2))
+        h = rng.uniform(size=(2, dense.shape[1]))
+        want = frobenius_sq(dense - w @ h)
+        assert math.isclose(residual_sq(to_csr(dense), w, h), want,
+                            rel_tol=1e-12)
+        assert residual_sq(dense, w, h) == want
 
     def test_pattern_kl_within_eps_of_dense(self, name, dense):
         rng = make_rng(5)
@@ -353,8 +367,9 @@ class TestKlCachedTerms:
         for w, h in ((np.ones((2, 2)), np.ones((2, 4))),
                      (np.ones((3, 2)), np.ones((2, 5))),
                      (np.ones((3, 2)), np.ones((3, 4)))):
-            with pytest.raises(ShapeError, match="kl_div"):
-                kl_div(v, w, h)
+            for kernel in (kl_div, residual_sq):
+                with pytest.raises(ShapeError, match=kernel.__name__):
+                    kernel(v, w, h)
 
     def test_terms_keep_no_position_index(self):
         # a zero-free V's values are its own buffer; V with zeros keeps a mask
@@ -368,6 +383,115 @@ class TestKlCachedTerms:
         holed = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
         kl_div(holed, np.ones((2, 2)), np.eye(2))
         assert holed._kl_terms[0].dtype == bool
+
+
+class TestResidualSq:
+    def test_stored_zeros_match_dense(self):
+        rng = make_rng(41)
+        dense = sparsify(rng, 40, 30, 0.2, high=5.0)
+        dense[3, :] = 0.0
+        w, h = rng.uniform(size=(40, 4)), rng.uniform(size=(4, 30))
+        # every entry of rows 3..5 stored, zeros included
+        stored = np.zeros_like(dense, dtype=bool)
+        stored[3:6, :] = True
+        r, c = np.nonzero((dense != 0) | stored)
+        v = DataMatrix.from_coo(r, c, dense[r, c], dense.shape)
+        assert np.count_nonzero(v.data == 0.0) >= 30
+        got, want = residual_sq(v, w, h), residual_sq(dense, w, h)
+        assert want == frobenius_sq(w @ h - dense)
+        assert math.isclose(got, want, rel_tol=1e-13)
+        assert v._dense_data is None
+
+    def test_exact_fit_within_cancellation_bound(self):
+        # V = W H with W's columns and H's rows on disjoint supports: V's
+        # pattern is three blocks, each stored entry one product w h, so
+        # only the off-pattern term can read above 0
+        rng = make_rng(42)
+        m, n, k = 200, 100, 3
+        rb, cb = rng.integers(0, k, m), rng.integers(0, k, n)
+        w = rng.uniform(0.5, 2.0, (m, k)) * (rb[:, None] == np.arange(k))
+        h = rng.uniform(0.5, 2.0, (k, n)) * (cb == np.arange(k)[:, None])
+        wh = w @ h
+        r, c = np.nonzero(wh)
+        v = DataMatrix.from_coo(r, c, wh[r, c], (m, n))
+        assert v.nnz < m * n
+        got = residual_sq(v, w, h)
+        # the docstring's bound: about eps ||W H||^2, a few eps in practice
+        assert 0.0 <= got <= 16 * EPS * frobenius_sq(wh)
+
+
+class TestScratchBuffers:
+    """The CSR gathers fill per-thread buffers kept on V's pattern."""
+
+    def test_kernels_equal_allocating_formulas(self):
+        rng = make_rng(43)
+        v = to_csr(sparsify(rng, 30, 20, 0.3))
+        pat = _pattern_of(v)
+        for k in (3, 5, 3):  # each change of k makes the buffers again
+            w, h = rng.uniform(size=(30, k)), rng.uniform(size=(k, 20))
+            got = product_on(v, w, h)
+            want = np.einsum("ij,ji->i", w.take(pat.rows, axis=0),
+                             h.take(v.indices, axis=1))
+            assert got.tobytes() == want.tobytes()
+
+            want = np.zeros((k, 30))
+            want[:, pat.row_ids] = np.add.reduceat(
+                h.take(v.indices, axis=1) * v.data, pat.row_starts, axis=1)
+            got_csr_dense = matmul(v, h.T)
+            assert got_csr_dense.tobytes() == np.ascontiguousarray(
+                want.T).tobytes()
+
+            want = np.zeros((k, 20))
+            want[:, pat.col_ids] = np.add.reduceat(
+                w.T.take(pat.col_rows, axis=1) * v.data[pat.by_col],
+                pat.col_starts, axis=1)
+            got_dense_csr = matmul(w.T, v)
+            assert got_dense_csr.tobytes() == want.tobytes()
+
+            bufs = pat.scratch(k)
+            assert bufs[0].shape == (v.nnz, k) and bufs[1].shape == (k, v.nnz)
+            for out in (got, got_csr_dense, got_dense_csr):
+                assert not any(np.shares_memory(out, b) for b in bufs)
+
+    def test_threads_sharing_v_write_the_serial_bytes(self):
+        # large enough that numpy releases the interpreter lock in the
+        # gathers, and two ranks, so that a shared buffer would be overrun
+        rng = make_rng(44)
+        dense = sparsify(rng, 200, 150, 0.2)
+        configs = [FactorConfig(method, rank, seed=SeedSpec("random"),
+                                max_iter=20, min_residual_delta=0.0,
+                                conn_change=0, master_seed=seed)
+                   for seed, (method, rank) in enumerate(
+                       [("nmf-kl", 3), ("nmf-eu", 5), ("nsnmf", 3),
+                        ("nmf-kl", 5), ("bmf", 3), ("nmf-kl", 3)])]
+
+        def run(v, cfg):
+            model, _ = factorize(v, cfg)
+            return model.W.tobytes() + model.H.tobytes()
+
+        serial = [run(to_csr(dense), cfg) for cfg in configs]
+        shared = to_csr(dense)
+        results = [None] * len(configs)
+        start = threading.Barrier(len(configs), timeout=60)
+
+        def worker(i):
+            start.wait()
+            results[i] = run(shared, configs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(configs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert shared._dense_data is None
 
 
 class TestRng:

@@ -363,8 +363,9 @@ class TestFitSummary:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the cached dense V and the residual; no m x n W H for the KL term
-        assert peak < 2.5 * 8 * m * n
+        # no m x n array: neither a dense V nor W H, for either term
+        assert peak < 0.5 * 8 * m * n
+        assert v._dense_data is None
         assert calls == []
         # at most EPS below per zero of V, and rounding of the value's sums
         assert abs(got - want) <= EPS * (m * n - v.nnz) + 1e-14 * abs(want)
