@@ -15,8 +15,11 @@
 #     --track-error --master-seed 7, on all three inputs;
 #   - consensus_report.json/.csv of `rank-estimate --method nmf-kl
 #     --ranks 2..4 --runs 5 --master-seed 4` on all three inputs.
-# That is 495 files: 492 outputs and the three inputs.  The script is not
-# part of check.sh or CI, since some changes alter outputs on purpose.
+# That is 495 files: 492 outputs and the three inputs.  Each file that
+# differs gets one line: the largest relative change over the numbers it
+# holds (by key in JSON, by position elsewhere), and for summary.json any
+# change of n_iter.  The script is not part of check.sh or CI, since some
+# changes alter outputs on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:?usage: scripts/compare_outputs.sh REF}
@@ -79,10 +82,67 @@ EOF
 write_outputs "$tmp/ref/src" "$tmp/out-ref"
 write_outputs "$PWD/src" "$tmp/out-new"
 
-count=$(find "$tmp/out-new" -type f | wc -l)
-if diff -r "$tmp/out-ref" "$tmp/out-new"; then
-    echo "compare_outputs: all $count files byte-identical to $ref"
-else
-    echo "compare_outputs: files differ from $ref (of $count)" >&2
-    exit 1
-fi
+python3 - "$tmp/out-ref" "$tmp/out-new" "$ref" <<'EOF'
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+ref_dir, new_dir, ref = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def numbers(name, data):
+    """The numbers in a file, keyed by JSON path or else by position."""
+    if name.suffix != ".json":
+        return dict(enumerate(float(t) for t in NUMBER.findall(data)))
+    found = {}
+
+    def walk(x, path):
+        items = x.items() if isinstance(x, dict) else (
+            enumerate(x) if isinstance(x, list) else ())
+        for key, y in items:
+            walk(y, path + (key,))
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            found[path] = float(x)
+
+    walk(json.loads(data), ())
+    return found
+
+
+def rel_change(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+names = sorted({f.relative_to(d) for d in (ref_dir, new_dir)
+                for f in d.rglob("*") if f.is_file()})
+differ = 0
+for name in names:
+    old, new = ref_dir / name, new_dir / name
+    if not (old.exists() and new.exists()):
+        differ += 1
+        print("%s: only in %s" % (name, ref if old.exists() else "this tree"))
+        continue
+    a, b = old.read_bytes(), new.read_bytes()
+    if a == b:
+        continue
+    differ += 1
+    x, y = numbers(name, a), numbers(name, b)
+    shared = x.keys() & y.keys()
+    line = "max rel change %.3g" % max(
+        (rel_change(x[k], y[k]) for k in shared), default=0.0)
+    if x.keys() != y.keys():
+        line += " over %d shared of %d and %d numbers" % (
+            len(shared), len(x), len(y))
+    n_iter = ("n_iter",)
+    if n_iter in shared and x[n_iter] != y[n_iter]:
+        line += ", n_iter %d -> %d" % (x[n_iter], y[n_iter])
+    print("%s: %s" % (name, line))
+if differ:
+    sys.exit("compare_outputs: %d of %d files differ from %s"
+             % (differ, len(names), ref))
+print("compare_outputs: all %d files byte-identical to %s" % (len(names), ref))
+EOF

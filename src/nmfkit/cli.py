@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import math
 import sys
 import time
 import warnings
 from pathlib import Path
 
-from .errors import NmfkitError, field_type
+from .errors import NmfkitError, field_type, in_interval
 from .factor import METHODS, FactorConfig, ParamSet, factorize
 from .matcore import DataMatrix
 from .mio import read_matrix, synth, write_matrix, write_summary
@@ -31,13 +30,13 @@ class UsageError(Exception):
     pass
 
 
-def _at_least(low, cast):
-    """An argparse type: `cast(text)`, refused below `low` or if not finite."""
+def _within(interval, cast):
+    """An argparse type: `cast(text)`, refused outside `interval` or if NaN."""
     def parse(text):
         value = cast(text)
-        if not low <= value < math.inf:
-            raise argparse.ArgumentTypeError("must be finite and at least %s"
-                                             % (low,))
+        if not in_interval(value, interval):
+            raise argparse.ArgumentTypeError("must be finite and lie in %s"
+                                             % interval)
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
     return parse
@@ -58,8 +57,8 @@ def _parse_params(pairs) -> ParamSet:
         try:
             parsed = _PARAM_TYPES[key](value)
         except ValueError:
-            raise UsageError("parameter %s has a non-numeric value %r"
-                             % (key, value)) from None
+            raise UsageError("parameter %s must be of type %s, got %r" % (
+                key, _PARAM_TYPES[key].__name__, value)) from None
         setattr(params, key, parsed)
     return params
 
@@ -97,19 +96,19 @@ def _add_factorize_flags(p, with_rank=True):
     _add_common_io_flags(p)
     p.add_argument("--method", required=True, choices=METHODS)
     if with_rank:
-        p.add_argument("--rank", required=True, type=_at_least(1, int))
+        p.add_argument("--rank", required=True, type=_within("[1, inf)", int))
     # no flag supplies W0 and H0, so `fixed` seeding is library-only
     p.add_argument("--seed", default=SeedSpec.kind,
                    choices=[s for s in SEED_METHOD_NAMES if s != "fixed"])
-    p.add_argument("--max-iter", type=_at_least(1, int),
+    p.add_argument("--max-iter", type=_within("[1, inf)", int),
                    default=FactorConfig.max_iter)
-    p.add_argument("--min-delta", type=_at_least(0.0, float),
+    p.add_argument("--min-delta", type=_within("[0, inf)", float),
                    default=FactorConfig.min_residual_delta,
                    help="relative objective improvement below which to stop")
-    p.add_argument("--conn-change", type=_at_least(0, int),
+    p.add_argument("--conn-change", type=_within("[0, inf)", int),
                    default=FactorConfig.conn_change,
                    help="connectivity-stability stopping window (0 disables)")
-    p.add_argument("--master-seed", type=_at_least(0, int),
+    p.add_argument("--master-seed", type=_within("[0, inf)", int),
                    default=FactorConfig.master_seed)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
@@ -243,25 +242,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factorize_flags(p, with_rank=False)
     p.add_argument("--ranks", required=True,
                    help="candidate ranks: A..B or comma list")
-    p.add_argument("--runs", type=_at_least(1, int), default=10,
+    p.add_argument("--runs", type=_within("[1, inf)", int), default=10,
                    help="factorization runs per rank")
     p.set_defaults(func=cmd_rank_estimate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic matrix")
-    p.add_argument("--rows", required=True, type=_at_least(1, int))
-    p.add_argument("--cols", required=True, type=_at_least(1, int))
-    p.add_argument("--rank", required=True, type=_at_least(1, int))
-    p.add_argument("--noise", type=_at_least(0.0, float), default=0.0)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--seed", type=_at_least(0, int), default=0)
+    p.add_argument("--rows", required=True, type=_within("[1, inf)", int))
+    p.add_argument("--cols", required=True, type=_within("[1, inf)", int))
+    p.add_argument("--rank", required=True, type=_within("[1, inf)", int))
+    p.add_argument("--noise", type=_within("[0, inf)", float), default=0.0)
+    p.add_argument("--density", type=_within("(0, 1]", float), default=1.0)
+    p.add_argument("--seed", type=_within("[0, inf)", int), default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--emit-truth", action="store_true",
                    help="also write the ground-truth factors")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("convert", help="transcode between mtx and csv")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", choices=("mtx", "csv"))
+    _add_common_io_flags(p)
     p.add_argument("--output", required=True)
     p.add_argument("--to", required=True, choices=("mtx", "csv"))
     p.set_defaults(func=cmd_convert)

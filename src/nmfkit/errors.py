@@ -80,6 +80,13 @@ def setting(interval: str, default=MISSING):
     return field(default=default, metadata={"range": interval})
 
 
+def in_interval(x, interval: str) -> bool:
+    """Whether the number x lies in `interval` ("[0, 1]", "(0, inf)"...)."""
+    low, high = (float(b) for b in interval[1:-1].split(", "))
+    return ((low < x if interval[0] == "(" else low <= x)
+            and (x < high if interval[-1] == ")" else x <= high))
+
+
 def field_type(f):
     """(int or float, takes None) of a numeric field; "int | None" is int."""
     kind = f.type
@@ -104,8 +111,6 @@ def check_settings(record, prefix=""):
         if not isinstance(x, Integral if cast is int else Real):
             raise ParamError("%s%s must be of type %s%s, got %r" % (
                 prefix, f.name, cast.__name__, " | None" * none_ok, x))
-        low, high = (float(b) for b in interval[1:-1].split(", "))
-        if not ((low < x if interval[0] == "(" else low <= x)
-                and (x < high if interval[-1] == ")" else x <= high)):
+        if not in_interval(x, interval):
             raise ParamError("%s%s must be finite and lie in %s, got %r"
                              % (prefix, f.name, interval, x))

@@ -1,10 +1,13 @@
 """Seeding of the factor pair (W, H) ahead of iterative optimization.
 
-Methods: uniform random, fixed factors, Random C (dense-column centroids),
-Random Vcol (column/row centroids), and NNDSVD with the zero-filling
-variants ``a`` and ``ar``.  A SeedSpec names one of the seven methods in
-SEED_METHOD_NAMES; the three NNDSVD names select seed_nndsvd's variant.
-The rank and the SeedSpec's ranges are checked by `factorize`, not here.
+Methods: uniform random, fixed factors, Random Vcol, Random C, and NNDSVD
+with the zero-filling variants ``a`` and ``ar``.  Random Vcol takes W's
+columns as means of sampled columns of V and H's rows as means of sampled
+rows; Random C (Albright et al. 2006) is Random Vcol drawing only from the
+longest columns and rows of V, by default the longest half of each.  A
+SeedSpec names one of the seven methods in SEED_METHOD_NAMES; the three
+NNDSVD names select seed_nndsvd's variant.  The rank and the SeedSpec's
+ranges are checked by `factorize`, not here.
 """
 
 from __future__ import annotations
@@ -28,14 +31,18 @@ _NNDSVD_VARIANT = {"nndsvd": "none", "nndsvda": "a", "nndsvdar": "ar"}
 class SeedSpec:
     """How to build the initial (W, H) pair.
 
-    kind is one of SEED_METHOD_NAMES.  ``scale`` is the upper end of the
-    uniform range used by ``random``.
+    kind is one of SEED_METHOD_NAMES.  ``random_vcol`` and ``random_c``
+    average ``p_cols`` sampled columns into each column of W and ``p_rows``
+    sampled rows into each row of H (None: a fifth of n, of m).
+    ``random_c`` samples only the ceil(dense_fraction * n) columns and
+    ceil(dense_fraction * m) rows of largest norm, half of each by default.
+    ``scale`` is the upper end of the uniform range used by ``random``.
     """
 
     kind: str = "random_vcol"
     p_cols: int | None = setting("[1, inf)", None)
     p_rows: int | None = setting("[1, inf)", None)
-    dense_fraction: float = setting("(0, 1]", 0.2)
+    dense_fraction: float = setting("(0, 1]", 0.5)
     scale: float = setting("(0, inf)", 1.0)
     w0: np.ndarray | None = None
     h0: np.ndarray | None = None
@@ -72,56 +79,44 @@ def _centroids(v, picks, axis):
     return np.stack([vd[idx, :].mean(axis=0) for idx in picks])
 
 
+def _sampled_centroids(v, k, p_cols, p_rows, fraction, rng: RngStream):
+    """W's columns are means of `p_cols` columns of V (default a fifth of
+    n), drawn without replacement from the ceil(fraction * n) columns of
+    largest norm, ties keeping the lower index; H's rows likewise from
+    rows.  A fraction of 1 ranks nothing.  W is drawn before H.
+    """
+    sq = v.with_values(v.values * v.values) if fraction < 1 else None
+    factors = []
+    for axis, p, name in ((1, p_cols, "p_cols"), (0, p_rows, "p_rows")):
+        size = v.shape[axis]
+        p = math.ceil(size / 5) if p is None else p
+        pool_size = math.ceil(fraction * size)
+        if not 1 <= p <= pool_size:
+            raise ParamError("%s %d out of range [1, %d]"
+                             % (name, p, pool_size))
+        pool = np.arange(size)
+        if sq is not None:
+            # a mean of squares over the other axis ranks as the norm does
+            every = [np.arange(v.shape[1 - axis])]
+            mean_sq = _centroids(sq, every, 1 - axis).ravel()
+            pool = np.sort(np.argsort(-mean_sq, kind="stable")[:pool_size])
+        picks = [pool[rng.choice_without_replacement(pool_size, p)]
+                 for _ in range(k)]
+        factors.append(_centroids(v, picks, axis))
+    return tuple(factors)
+
+
 def seed_random_vcol(v, k, p_cols=None, p_rows=None, rng: RngStream = None):
-    """Columns of W are means of sampled columns of V, rows of H of rows.
-
-    Sampling is uniform without replacement; defaults use a fifth of the
-    columns/rows.  All W columns are drawn before the H rows.
-    """
-    v = as_matrix(v)
-    m, n = v.shape
-    if p_cols is None:
-        p_cols = math.ceil(n / 5)
-    if p_rows is None:
-        p_rows = math.ceil(m / 5)
-    if not 1 <= p_cols <= n:
-        raise ParamError("p_cols %d out of range [1, %d]" % (p_cols, n))
-    if not 1 <= p_rows <= m:
-        raise ParamError("p_rows %d out of range [1, %d]" % (p_rows, m))
-    col_picks = [rng.choice_without_replacement(n, p_cols) for _ in range(k)]
-    row_picks = [rng.choice_without_replacement(m, p_rows) for _ in range(k)]
-    return _centroids(v, col_picks, axis=1), _centroids(v, row_picks, axis=0)
+    """Random Vcol: `_sampled_centroids` over all columns and rows of V."""
+    return _sampled_centroids(as_matrix(v), k, p_cols, p_rows, 1.0, rng)
 
 
-def seed_random_c(v, k, p_cols=None, dense_fraction: float = 0.2,
+def seed_random_c(v, k, p_cols=None, p_rows=None, dense_fraction=0.5,
                   rng: RngStream = None):
-    """Random C: W columns are means of columns sampled from the dense pool.
-
-    The pool holds the ceil(dense_fraction * n) columns of V with largest
-    Euclidean norm (norm ties keep the lower column index).  H is seeded
-    uniformly on [0, 1) since the construction only prescribes W.
-    """
-    v = as_matrix(v)
-    m, n = v.shape
-    if p_cols is None:
-        p_cols = math.ceil(n / 5)
-    pool_size = math.ceil(dense_fraction * n)
-    if not 1 <= p_cols <= pool_size:
-        raise ParamError("p_cols %d exceeds dense pool of %d columns"
-                         % (p_cols, pool_size))
-    if v.is_sparse:
-        norms = np.sqrt(np.bincount(v.indices, weights=v.data * v.data,
-                                    minlength=n))
-    else:
-        vd = v.dense_view()
-        norms = np.sqrt(np.sum(vd * vd, axis=0))
-    # stable sort on -norms: ties resolve to the lowest column index
-    pool = np.sort(np.argsort(-norms, kind="stable")[:pool_size])
-    picks = [pool[rng.choice_without_replacement(pool_size, p_cols)]
-             for _ in range(k)]
-    w = _centroids(v, picks, axis=1)
-    h = rng.uniform(size=(k, n))
-    return w, h
+    """Random C (Albright et al. 2006): Random Vcol restricted to the
+    longest `dense_fraction` of V's columns and of its rows."""
+    return _sampled_centroids(as_matrix(v), k, p_cols, p_rows,
+                              dense_fraction, rng)
 
 
 def _norm(x) -> float:
@@ -211,7 +206,8 @@ def seed_factors(v, k: int, spec: SeedSpec, rng: RngStream):
     if spec.kind == "random_vcol":
         return seed_random_vcol(v, k, spec.p_cols, spec.p_rows, rng)
     if spec.kind == "random_c":
-        return seed_random_c(v, k, spec.p_cols, spec.dense_fraction, rng)
+        return seed_random_c(v, k, spec.p_cols, spec.p_rows,
+                             spec.dense_fraction, rng)
     if spec.kind in _NNDSVD_VARIANT:
         return seed_nndsvd(v, k, _NNDSVD_VARIANT[spec.kind], rng)
     if spec.kind == "fixed":

@@ -122,8 +122,12 @@ class TestExitCodes:
         # the casts follow ParamSet's annotations ("int | None" is int)
         params = cli_mod._parse_params(["burn_in=3", "theta=1"])
         assert type(params.burn_in) is int and type(params.theta) is float
-        with pytest.raises(cli_mod.UsageError, match="inner_max_iter"):
-            cli_mod._parse_params(["inner_max_iter=2.5"])
+        with pytest.raises(cli_mod.UsageError, match="^parameter "
+                           "lambda_period must be of type int, got '2.5'$"):
+            cli_mod._parse_params(["lambda_period=2.5"])
+        with pytest.raises(cli_mod.UsageError, match="^parameter theta must "
+                           "be of type float, got 'x'$"):
+            cli_mod._parse_params(["theta=x"])
 
     @pytest.mark.parametrize("method, param", [
         ("lsnmf", "armijo_beta=0"),  # was a ZeroDivisionError traceback
@@ -420,6 +424,15 @@ class TestSynthAndConvert:
         out = tmp_path / "V.mtx"
         assert main(["synth", "--rows", "4", "--cols", "4", "--rank", "2",
                      "--noise", noise, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density", ["nan", "0", "2", "-1"])
+    def test_density_outside_unit_interval_is_usage_error(self, tmp_path,
+                                                          density):
+        # these exited 1 with "error (param)" from mio.synth
+        out = tmp_path / "V.mtx"
+        assert main(["synth", "--rows", "4", "--cols", "4", "--rank", "2",
+                     "--density", density, "--output", str(out)]) == 2
         assert not out.exists()
 
     def test_synth_rank_too_large_is_runtime_error(self, tmp_path):

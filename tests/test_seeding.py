@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import make_rng, random_nonneg, to_csr
 from nmfkit.errors import ParamError, SeedError
+from nmfkit.factor import FactorConfig, factorize
 from nmfkit.matcore import RngStream, frobenius_sq
+from nmfkit.mio import synth
+from nmfkit.quality import fit_summary
 from nmfkit.seeding import (SEED_METHOD_NAMES, SeedSpec, seed_factors,
                             seed_fixed, seed_nndsvd, seed_random,
                             seed_random_c, seed_random_vcol)
@@ -89,10 +92,46 @@ class TestSeedRandomC:
 
     def test_norm_tie_prefers_lower_index(self):
         # columns 0 and 1 tie with the largest norm; pool of one must take 0
-        v = np.array([[2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        v = np.ones((2, 10))
+        v[:, 0], v[:, 1] = [3.0, 4.0], [4.0, 3.0]
         w, _ = seed_random_c(v, 1, p_cols=1, dense_fraction=0.1,
                              rng=RngStream(0))
-        np.testing.assert_array_equal(w, [[2.0]])
+        np.testing.assert_array_equal(w, [[3.0], [4.0]])
+
+    def test_row_norm_tie_prefers_lower_index(self):
+        # rows 0 and 1 tie with the largest norm; pool of one must take 0
+        v = np.ones((10, 2))
+        v[0], v[1] = [3.0, 4.0], [4.0, 3.0]
+        _, h = seed_random_c(v, 1, p_rows=1, dense_fraction=0.1,
+                             rng=RngStream(0))
+        np.testing.assert_array_equal(h, [[3.0, 4.0]])
+
+    def test_default_draws_distinct_centroids(self):
+        # the pool was as large as the sample, so all k columns were equal
+        v = random_nonneg(make_rng(8), 40, 40)
+        w, h = seed_random_c(v, 4, rng=RngStream(2))
+        assert len({tuple(c) for c in w.T}) == 4
+        assert len({tuple(r) for r in h}) == 4
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_full_fraction_is_random_vcol(self, sparse):
+        dense = random_nonneg(make_rng(13), 12, 9)
+        dense[dense < 0.4] = 0.0
+        v = to_csr(dense) if sparse else dense
+        got = seed_random_c(v, 3, dense_fraction=1.0, rng=RngStream(6))
+        want = seed_random_vcol(v, 3, rng=RngStream(6))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("method", ["lsnmf", "snmf-r"])
+    def test_seeds_a_good_fit(self, method):
+        # scripts/compare_outputs.sh's dense run: evar was 0.585 and 0.584
+        v, _, _ = synth(60, 40, 4, noise_sigma=0.01, seed=3)
+        v = v.with_values(v.values / v.values.max())
+        config = FactorConfig(method=method, rank=4, master_seed=7,
+                              seed=SeedSpec("random_c"), max_iter=60)
+        model, _ = factorize(v, config)
+        assert fit_summary(v, model).evar >= 0.99
 
     def test_pool_smaller_than_p_cols(self):
         v = np.ones((4, 10))
