@@ -26,10 +26,6 @@ from .quality import fit_summary
 from .seeding import SEED_METHOD_NAMES, SeedSpec
 
 
-class UsageError(Exception):
-    pass
-
-
 def _within(interval, cast):
     """An argparse type: `cast(text)`, refused outside `interval` or if NaN."""
     def parse(text):
@@ -45,39 +41,37 @@ def _within(interval, cast):
 _PARAM_TYPES = {f.name: field_type(f)[0] for f in dataclasses.fields(ParamSet)}
 
 
-def _parse_params(pairs) -> ParamSet:
-    params = ParamSet()
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise UsageError("--param expects KEY=VALUE, got %r" % (pair,))
-        if key not in _PARAM_TYPES:
-            raise UsageError("unknown method parameter %r (known: %s)"
-                             % (key, ", ".join(sorted(_PARAM_TYPES))))
-        try:
-            parsed = _PARAM_TYPES[key](value)
-        except ValueError:
-            raise UsageError("parameter %s must be of type %s, got %r" % (
-                key, _PARAM_TYPES[key].__name__, value)) from None
-        setattr(params, key, parsed)
-    return params
+def _param(text):
+    """An argparse type: KEY=VALUE for a ParamSet field, as (key, value)."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError("expects KEY=VALUE, got %r" % text)
+    if key not in _PARAM_TYPES:
+        raise argparse.ArgumentTypeError(
+            "unknown method parameter %r (known: %s)"
+            % (key, ", ".join(sorted(_PARAM_TYPES))))
+    try:
+        return key, _PARAM_TYPES[key](value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "parameter %s must be of type %s, got %r"
+            % (key, _PARAM_TYPES[key].__name__, value)) from None
 
 
-def _parse_ranks(text):
+def _ranks(text):
+    """An argparse type: A..B or a comma list of positive integers."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        ranks = [int(tok) for tok in text.split(",") if tok]
-        if not ranks or any(r < 1 for r in ranks):
-            raise ValueError
-        return ranks
+            lo, hi = (int(x) for x in text.split("..", 1))
+            ranks = list(range(lo, hi + 1))
+        else:
+            ranks = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise UsageError("--ranks expects A..B or a comma list of positive "
-                         "integers, got %r" % (text,)) from None
+        ranks = []
+    if not ranks or min(ranks) < 1:
+        raise argparse.ArgumentTypeError("expects A..B or a comma list of "
+                                         "positive integers, got %r" % text)
+    return ranks
 
 
 def _scale_unit(v: DataMatrix) -> DataMatrix:
@@ -112,7 +106,8 @@ def _add_factorize_flags(p, with_rank=True):
                    default=FactorConfig.master_seed)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+    p.add_argument("--param", action="append", default=[], type=_param,
+                   metavar="KEY=VALUE",
                    help="method parameter, e.g. --param theta=0.3")
     p.add_argument("--output-dir", default="out")
 
@@ -127,7 +122,7 @@ def _build_config(args, rank) -> FactorConfig:
         conn_change=args.conn_change,
         track_error=getattr(args, "track_error", False),
         master_seed=args.master_seed,
-        params=_parse_params(args.param))
+        params=ParamSet(**dict(args.param)))
 
 
 def _read_input(args) -> DataMatrix:
@@ -171,9 +166,9 @@ def cmd_factorize(args) -> int:
 def cmd_rank_estimate(args) -> int:
     start = time.perf_counter()
     v = _read_input(args)
-    ranks = _parse_ranks(args.ranks)
-    base = _build_config(args, ranks[0])
-    sweep = RankSweepConfig(ranks=ranks, runs_per_rank=args.runs, base=base)
+    base = _build_config(args, args.ranks[0])
+    sweep = RankSweepConfig(ranks=args.ranks, runs_per_rank=args.runs,
+                            base=base)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = rank_sweep(v, sweep)
@@ -240,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-estimate",
                        help="multi-run consensus over a range of ranks")
     _add_factorize_flags(p, with_rank=False)
-    p.add_argument("--ranks", required=True,
+    p.add_argument("--ranks", required=True, type=_ranks,
                    help="candidate ranks: A..B or comma list")
     p.add_argument("--runs", type=_within("[1, inf)", int), default=10,
                    help="factorization runs per rank")
@@ -274,9 +269,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
     except NmfkitError as exc:
         print("error (%s): %s" % (exc.kind, exc), file=sys.stderr)
         return 1

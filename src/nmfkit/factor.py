@@ -116,8 +116,8 @@ def reconstruct(model: FactorModel) -> np.ndarray:
 def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     """Euclidean (squared Frobenius residual) or KL objective of a model.
 
-    The KL form is `kl_div` with the reconstruction clamped at machine
-    epsilon, so that exact zeros in the factors keep the value finite.
+    The KL form is `kl_div`, whose clamp at machine epsilon keeps the value
+    finite when the factors have exact zeros.
     ``wh`` is `product_on(v, basis_of(model), model.H)`, formed if not given.
     """
     v = as_matrix(v)
@@ -125,7 +125,7 @@ def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     if kind == "euclidean":
         return residual_sq(v, basis, model.H)
     if kind == "kl":
-        return kl_div(v, basis, model.H, EPS, wh)
+        return kl_div(v, basis, model.H, wh)
     raise ParamError("unknown objective kind %r" % (kind,))
 
 

@@ -3,10 +3,11 @@
 The factorization loops only ever need a handful of operations on the data
 matrix: products against dense factors, elementwise quotients on the stored
 pattern, norms and reductions.  Products (`matmul`), W H on V's pattern
-(`product_on`), the quotient V / (W H) (`safe_divide_product`), the KL
-divergence of W H from V (`kl_div`), the residual ||V - W H||^2
-(`residual_sq`), sums and norms have CSR kernels that never form an m x n
-array; this module is the one place that asks whether V is dense or CSR.
+(`product_on`), V / (W H + EPS) in V's layout (`safe_divide_product`), the
+KL divergence of max(W H, EPS) from V (`kl_div`), the residual
+||V - W H||^2 (`residual_sq`), sums and norms have CSR kernels that never
+form an m x n array; this module is the one place that asks whether V is
+dense or CSR.
 `dense_view` materializes (and caches) the dense array for the callers
 that still want one: NNDSVD seeding and array/CSV output.
 
@@ -284,11 +285,11 @@ def matmul(a, b) -> np.ndarray:
 # -- elementwise -------------------------------------------------------------
 
 def safe_divide(a, b) -> np.ndarray:
-    """Elementwise a / (b + EPS); EPS keeps every denominator nonzero."""
-    if _shape_of(a) != _shape_of(b):
+    """Elementwise a / (b + EPS) of two arrays, so no denominator is 0."""
+    if a.shape != b.shape:
         raise ShapeError("safe_divide: operand shapes %s and %s differ"
-                         % (_shape_of(a), _shape_of(b)))
-    return _dense_of(a) / (_dense_of(b) + EPS)
+                         % (a.shape, b.shape))
+    return a / (b + EPS)
 
 
 def _check_factors(v, w, h, op):
@@ -317,18 +318,14 @@ def product_on(v, w, h) -> np.ndarray:
     return matmul(w, h)
 
 
-def safe_divide_product(v, w, h, wh=None):
-    """safe_divide(V, W @ H) without densifying a sparse V.
-
-    For CSR input the quotient is only evaluated on the stored pattern
-    (zero entries stay zero, exactly as in the dense formula) and the
-    result is CSR with V's pattern, which shares V's cached index arrays.
-    ``wh`` is `product_on(v, w, h)`, formed here if not given.
+def safe_divide_product(v, w, h, wh=None) -> DataMatrix:
+    """The quotient V / (W @ H + EPS) in V's layout, without densifying a
+    sparse V: a CSR V's quotient is taken on its stored entries only (zero
+    entries stay zero, as in the dense formula) and shares V's cached index
+    arrays.  ``wh`` is `product_on(v, w, h)`, formed here if not given.
     """
     wh = product_on(v, w, h) if wh is None else wh
-    if _is_csr(v):
-        return v.with_values(v.data / (wh + EPS))
-    return safe_divide(v, wh)
+    return v.with_values(v.values / (wh.reshape(-1) + EPS))
 
 
 # -- reductions --------------------------------------------------------------
@@ -366,17 +363,16 @@ def _kl_v_terms(v: DataMatrix):
     return v._kl_terms
 
 
-def kl_div(v, w, h, eps: float = 0.0, wh=None) -> float:
+def kl_div(v, w, h, wh=None) -> float:
     """Generalized Kullback-Leibler divergence sum(V ln(V/M) - V + M) of
-    the model M = W @ H from V, with the convention 0 ln 0 = 0.
+    the model M = max(W @ H, EPS) from V, with the convention 0 ln 0 = 0.
 
-    With ``eps`` = 0 the call is strict and raises on M <= 0 wherever
-    V > 0; a positive ``eps`` clamps M to max(M, eps), which keeps the value
-    finite when a model has exact zeros.  ``wh`` is `product_on(v, w, h)`,
-    formed here if not given.  A dense V clamps M everywhere.  A CSR V
-    forms M only on its stored entries, sums M as (W 1)'(H 1) and clamps
-    only where V > 0, so it can read below the dense V's value by at most
-    eps per zero of V: eps (mn - nnz) without stored zeros.
+    The clamp at EPS keeps the value finite when a model has exact zeros.
+    ``wh`` is `product_on(v, w, h)`, formed here if not given.  A dense V
+    clamps M everywhere.  A CSR V forms M only on its stored entries, sums
+    M as (W 1)'(H 1) and clamps only where V > 0, so it can read below the
+    dense V's value by at most EPS per zero of V: EPS (mn - nnz) without
+    stored zeros.  Raises DomainError on a negative V.
     """
     v = as_matrix(v)
     _check_factors(v, w, h, "kl_div")
@@ -385,18 +381,14 @@ def kl_div(v, w, h, eps: float = 0.0, wh=None) -> float:
     if v.is_sparse:
         mp = wh[keep]
         total = float(np.dot(w.sum(axis=0), h.sum(axis=1)) - sum_v)
-        if eps > 0:
-            clamped = np.maximum(mp, eps)
-            total += float(np.sum(clamped - mp))
-            mp = clamped
+        clamped = np.maximum(mp, EPS)
+        total += float(np.sum(clamped - mp))
+        mp = clamped
     else:
-        md = np.maximum(wh, eps) if eps > 0 else wh
+        md = np.maximum(wh, EPS)
         mp = md.ravel()[keep]
         total = float(np.sum(md) - sum_v)
-    if eps <= 0 and np.any(mp <= 0):
-        raise DomainError("kl_div: M must be positive wherever V is positive")
-    total += _inner(vp, np.log(vp / mp))
-    return total
+    return total + _inner(vp, np.log(vp / mp))
 
 
 def residual_sq(v, w, h) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateError, MetricError, RankError, out_of_memory
 from .factor import FactorModel, basis_of, objective
-from .matcore import EPS, as_matrix, frobenius_sq, kl_div
+from .matcore import as_matrix, frobenius_sq, kl_div
 
 
 @dataclass
@@ -54,15 +54,14 @@ def _evar_of_rss(v, r: float) -> float:
 def distance(v, model: FactorModel, metric: str) -> float:
     """Euclidean distance sqrt(rss) or generalized KL divergence.
 
-    The KL form is `kl_div` with the reconstruction clamped at machine
-    epsilon, keeping the measure finite when converged factors contain
-    exact zeros.
+    The KL form is `kl_div`, whose clamp at machine epsilon keeps the
+    measure finite when converged factors contain exact zeros.
     """
     v = as_matrix(v)
     if metric == "euclidean":
         return math.sqrt(rss(v, model))
     if metric == "kl":
-        return kl_div(v, basis_of(model), model.H, EPS)
+        return kl_div(v, basis_of(model), model.H)
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 

@@ -1,13 +1,12 @@
 """Seeding of the factor pair (W, H) ahead of iterative optimization.
 
 Methods: uniform random, fixed factors, Random Vcol, Random C, and NNDSVD
-with the zero-filling variants ``a`` and ``ar``.  Random Vcol takes W's
-columns as means of sampled columns of V and H's rows as means of sampled
-rows; Random C (Albright et al. 2006) is Random Vcol drawing only from the
-longest columns and rows of V, by default the longest half of each.  A
-SeedSpec names one of the seven methods in SEED_METHOD_NAMES; the three
-NNDSVD names select seed_nndsvd's variant.  The rank and the SeedSpec's
-ranges are checked by `factorize`, not here.
+with the zero-filling variants ``nndsvda`` and ``nndsvdar``.  Random C
+(Albright et al. 2006) averages columns (rows) sampled from the longest
+columns (rows) of V, by default the longest half; Random Vcol is Random C
+over all of V.  A SeedSpec names one of the seven SEED_METHOD_NAMES, and
+`seed_factors` passes its settings to seeding functions that have no
+defaults of their own.  `factorize` checks the rank and the SeedSpec.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .matcore import RngStream, as_matrix, matmul
 # Stable identifiers accepted by the CLI and by SeedSpec.from_name.
 SEED_METHOD_NAMES = ("random", "fixed", "random_c", "random_vcol",
                      "nndsvd", "nndsvda", "nndsvdar")
-_NNDSVD_VARIANT = {"nndsvd": "none", "nndsvda": "a", "nndsvdar": "ar"}
 
 
 @dataclass
@@ -33,7 +31,8 @@ class SeedSpec:
 
     kind is one of SEED_METHOD_NAMES.  ``random_vcol`` and ``random_c``
     average ``p_cols`` sampled columns into each column of W and ``p_rows``
-    sampled rows into each row of H (None: a fifth of n, of m).
+    sampled rows into each row of H (None: a fifth of n, of m, at most the
+    pool below).
     ``random_c`` samples only the ceil(dense_fraction * n) columns and
     ceil(dense_fraction * m) rows of largest norm, half of each by default.
     ``scale`` is the upper end of the uniform range used by ``random``.
@@ -55,7 +54,7 @@ class SeedSpec:
         return cls(kind=name, **kwargs)
 
 
-def seed_random(m, n, k, rng: RngStream, scale: float = 1.0):
+def seed_random(m, n, k, rng: RngStream, scale: float):
     """W, H with i.i.d. uniform entries on [0, scale)."""
     w = rng.uniform(size=(m, k), high=scale)
     h = rng.uniform(size=(k, n), high=scale)
@@ -79,18 +78,20 @@ def _centroids(v, picks, axis):
     return np.stack([vd[idx, :].mean(axis=0) for idx in picks])
 
 
-def _sampled_centroids(v, k, p_cols, p_rows, fraction, rng: RngStream):
-    """W's columns are means of `p_cols` columns of V (default a fifth of
-    n), drawn without replacement from the ceil(fraction * n) columns of
-    largest norm, ties keeping the lower index; H's rows likewise from
-    rows.  A fraction of 1 ranks nothing.  W is drawn before H.
+def seed_random_c(v, k, p_cols, p_rows, fraction, rng: RngStream):
+    """Random C: W's columns are means of `p_cols` columns of V, drawn
+    without replacement from the ceil(fraction * n) columns of largest
+    norm, ties keeping the lower index; H's rows likewise from rows.  A
+    sample size of None takes a fifth of n (of m), at most the pool.  A
+    fraction of 1 ranks nothing: that is Random Vcol.  W is drawn before H.
     """
+    v = as_matrix(v)
     sq = v.with_values(v.values * v.values) if fraction < 1 else None
     factors = []
     for axis, p, name in ((1, p_cols, "p_cols"), (0, p_rows, "p_rows")):
         size = v.shape[axis]
-        p = math.ceil(size / 5) if p is None else p
         pool_size = math.ceil(fraction * size)
+        p = min(math.ceil(size / 5), pool_size) if p is None else p
         if not 1 <= p <= pool_size:
             raise ParamError("%s %d out of range [1, %d]"
                              % (name, p, pool_size))
@@ -106,37 +107,25 @@ def _sampled_centroids(v, k, p_cols, p_rows, fraction, rng: RngStream):
     return tuple(factors)
 
 
-def seed_random_vcol(v, k, p_cols=None, p_rows=None, rng: RngStream = None):
-    """Random Vcol: `_sampled_centroids` over all columns and rows of V."""
-    return _sampled_centroids(as_matrix(v), k, p_cols, p_rows, 1.0, rng)
-
-
-def seed_random_c(v, k, p_cols=None, p_rows=None, dense_fraction=0.5,
-                  rng: RngStream = None):
-    """Random C (Albright et al. 2006): Random Vcol restricted to the
-    longest `dense_fraction` of V's columns and of its rows."""
-    return _sampled_centroids(as_matrix(v), k, p_cols, p_rows,
-                              dense_fraction, rng)
-
-
 def _norm(x) -> float:
     """Euclidean norm by an elementwise sum (np.linalg.norm calls BLAS)."""
     return math.sqrt(float(np.sum(x * x)))
 
 
-def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
-    """Nonnegative double SVD seeding.
+def seed_nndsvd(v, k, kind: str, rng: RngStream):
+    """Nonnegative double SVD seeding; `kind` is "nndsvd", "nndsvda" or
+    "nndsvdar".
 
     The leading singular triplet seeds the first column/row directly; later
     triplets contribute whichever of their positive/negative part pairs
-    carries more mass.  Variant "a" fills the resulting zeros with mean(V),
-    variant "ar" with uniform draws on [0, mean(V)/100).  No step calls
+    carries more mass.  "nndsvda" fills the resulting zeros with mean(V),
+    "nndsvdar" with uniform draws on [0, mean(V)/100).  No step calls
     BLAS, so the seeds do not depend on the BLAS thread count.
     """
     v = as_matrix(v)
     m, n = v.shape
-    if variant not in ("none", "a", "ar"):
-        raise ParamError("unknown nndsvd variant %r" % (variant,))
+    if kind not in ("nndsvd", "nndsvda", "nndsvdar"):
+        raise ParamError("unknown nndsvd variant %r" % (kind,))
     vd = v.dense_view()
     u, s, vt = jacobi_svd(vd)
     w = np.zeros((m, k))
@@ -165,9 +154,9 @@ def seed_nndsvd(v, k, variant: str = "none", rng: RngStream = None):
         w[:, j] = lam * xu / _norm(xu)
         h[j, :] = lam * yu / _norm(yu)
 
-    if variant in ("a", "ar"):
+    if kind != "nndsvd":
         avg = float(vd.mean())
-        if variant == "a":
+        if kind == "nndsvda":
             w[w == 0] = avg
             h[h == 0] = avg
         else:
@@ -201,15 +190,14 @@ def seed_factors(v, k: int, spec: SeedSpec, rng: RngStream):
     """Dispatch on spec.kind; every method returns dense nonnegative (W, H)."""
     v = as_matrix(v)
     m, n = v.shape
-    if spec.kind == "random":
-        return seed_random(m, n, k, rng, scale=spec.scale)
-    if spec.kind == "random_vcol":
-        return seed_random_vcol(v, k, spec.p_cols, spec.p_rows, rng)
-    if spec.kind == "random_c":
-        return seed_random_c(v, k, spec.p_cols, spec.p_rows,
-                             spec.dense_fraction, rng)
-    if spec.kind in _NNDSVD_VARIANT:
-        return seed_nndsvd(v, k, _NNDSVD_VARIANT[spec.kind], rng)
-    if spec.kind == "fixed":
+    kind = spec.kind
+    if kind == "random":
+        return seed_random(m, n, k, rng, spec.scale)
+    if kind in ("random_vcol", "random_c"):
+        fraction = spec.dense_fraction if kind == "random_c" else 1.0
+        return seed_random_c(v, k, spec.p_cols, spec.p_rows, fraction, rng)
+    if kind in ("nndsvd", "nndsvda", "nndsvdar"):
+        return seed_nndsvd(v, k, kind, rng)
+    if kind == "fixed":
         return seed_fixed(spec.w0, spec.h0, m, n, k)
-    raise SeedError("unknown seeding kind %r" % (spec.kind,))
+    raise SeedError("unknown seeding kind %r" % (kind,))

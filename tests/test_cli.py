@@ -107,11 +107,6 @@ class TestExitCodes:
         assert code == 1
         assert "rank" in capsys.readouterr().err
 
-    def test_bad_param_key(self, tmp_path, small_matrix):
-        code, _ = run_factorize(tmp_path, small_matrix,
-                                extra=["--param", "warp=1"])
-        assert code == 2
-
     def test_flag_defaults_are_the_record_defaults(self):
         args = cli_mod.build_parser().parse_args(
             ["factorize", "--input", "v.mtx", "--method", "nmf-eu",
@@ -120,14 +115,35 @@ class TestExitCodes:
 
     def test_param_values_take_the_field_type(self):
         # the casts follow ParamSet's annotations ("int | None" is int)
-        params = cli_mod._parse_params(["burn_in=3", "theta=1"])
+        args = cli_mod.build_parser().parse_args(
+            ["factorize", "--input", "v.mtx", "--method", "bd", "--rank", "2",
+             "--param", "burn_in=3", "--param", "theta=1"])
+        params = cli_mod._build_config(args, 2).params
         assert type(params.burn_in) is int and type(params.theta) is float
-        with pytest.raises(cli_mod.UsageError, match="^parameter "
-                           "lambda_period must be of type int, got '2.5'$"):
-            cli_mod._parse_params(["lambda_period=2.5"])
-        with pytest.raises(cli_mod.UsageError, match="^parameter theta must "
-                           "be of type float, got 'x'$"):
-            cli_mod._parse_params(["theta=x"])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--param", "lambda_period=2.5",
+         "parameter lambda_period must be of type int, got '2.5'"),
+        ("--param", "theta=x", "parameter theta must be of type float, "
+                               "got 'x'"),
+        ("--param", "warp=1", "unknown method parameter 'warp'"),
+        ("--param", "theta", "expects KEY=VALUE, got 'theta'"),
+        ("--ranks", "5..2", "expects A..B or a comma list of positive "
+                            "integers, got '5..2'"),
+        ("--ranks", "0,2", "expects A..B or a comma list"),
+    ])
+    def test_malformed_param_or_ranks_is_usage_error(
+            self, tmp_path, small_matrix, capsys, flag, value, message):
+        # argparse's one channel: exit 2 and a message naming the flag
+        outdir = tmp_path / "out"
+        ranks = [] if flag == "--ranks" else ["--ranks", "2"]
+        code = main(["rank-estimate", "--input", str(small_matrix),
+                     "--method", "nmf-kl", *ranks, flag, value,
+                     "--output-dir", str(outdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rank-estimate: error: argument %s: %s" % (flag, message) in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("method, param", [
         ("lsnmf", "armijo_beta=0"),  # was a ZeroDivisionError traceback
@@ -357,11 +373,6 @@ class TestRankEstimate:
         assert code == 1
         assert capsys.readouterr().err.startswith(
             "error (param): summary field 'ranks' is not finite")
-
-    def test_bad_ranks_spec(self, small_matrix):
-        code = main(["rank-estimate", "--input", str(small_matrix),
-                     "--method", "nmf-kl", "--ranks", "5..2"])
-        assert code == 2
 
     def test_threads_flag_is_gone(self, tmp_path, small_matrix):
         code = main(["rank-estimate", "--input", str(small_matrix),

@@ -220,7 +220,7 @@ class TestCsrKernels:
         v = to_csr(dense)
         q = safe_divide_product(v, w, h)
         matmul(v, h.T), matmul(w.T, v), matmul(q, h.T), matmul(w.T, q)
-        kl_div(v, w, h, EPS)
+        kl_div(v, w, h)
         residual_sq(v, w, h)
         frobenius_sq(v)
         assert v._dense_data is None and q._dense_data is None
@@ -240,16 +240,10 @@ class TestCsrKernels:
         h = rng.uniform(size=(2, dense.shape[1]))
         w[0, :] = 0.0  # a zero row of W H, where the clamp acts
         m, n = dense.shape
-        for eps in (EPS, 1e-3):
-            got = kl_div(to_csr(dense), w, h, eps)
-            want = kl_div(dense, w, h, eps)
-            assert abs(got - want) <= eps * m * n + 1e-12 * abs(want)
-        if dense[0].any():
-            with pytest.raises(DomainError):
-                kl_div(to_csr(dense), w, h)
-        else:
-            assert math.isclose(kl_div(to_csr(dense), w, h),
-                                kl_div(dense, w, h), rel_tol=1e-12)
+        got = kl_div(to_csr(dense), w, h)
+        want = kl_div(dense, w, h)
+        assert np.isfinite(got)
+        assert abs(got - want) <= EPS * m * n + 1e-12 * abs(want)
 
 
 class TestElementwise:
@@ -282,6 +276,10 @@ class TestElementwise:
         assert sparse_path.is_sparse
         np.testing.assert_allclose(sparse_path.to_dense(), dense_path,
                                    rtol=1e-12, atol=1e-15)
+        # one expression for both layouts: a dense V keeps its bits
+        dense_q = safe_divide_product(DataMatrix.dense(v), w, h)
+        assert not dense_q.is_sparse
+        assert np.array_equal(dense_q.dense_view(), dense_path)
 
 
 class TestReductions:
@@ -309,13 +307,13 @@ class TestReductions:
 
     def test_kl_domain_error(self):
         with pytest.raises(DomainError):
-            kl_div(np.array([[1.0]]), np.array([[0.0]]), np.eye(1))
-        with pytest.raises(DomainError):
             kl_div(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1))
 
     def test_kl_stabilized_is_finite(self):
-        got = kl_div(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), eps=EPS)
-        assert np.isfinite(got)
+        # M = 0 where V > 0 reads as M = EPS
+        for v in (np.array([[1.0]]), to_csr(np.array([[1.0]]))):
+            got = kl_div(v, np.array([[0.0]]), np.eye(1))
+            assert got == math.log(1.0 / EPS) - 1.0 + EPS
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kl_nonnegative_random_pairs(self, seed):
@@ -328,24 +326,21 @@ class TestReductions:
 
 
 class TestKlCachedTerms:
-    @pytest.mark.parametrize("eps", [0.0, EPS])
-    def test_datamatrix_bitwise_equals_ndarray(self, eps):
+    def test_datamatrix_bitwise_equals_ndarray(self):
         rng = make_rng(21)
         v = sparsify(rng, 9, 7, 0.6)
         dm = DataMatrix.dense(v)
         for _ in range(10):
             m = rng.uniform(0.01, 1.0, size=v.shape)
-            assert (kl_div(dm, m, np.eye(7), eps)
-                    == kl_div(v, m, np.eye(7), eps))
+            m[0, 0] = 0.0  # where the clamp acts
+            assert kl_div(dm, m, np.eye(7)) == kl_div(v, m, np.eye(7))
 
     def test_errors_raised_after_cache_filled(self):
         v = DataMatrix.dense([[1.0, 0.0], [2.0, 3.0]])
         m, eye = np.ones((2, 2)), np.eye(2)
         kl_div(v, m, eye)
         bad = np.array([[0.0, 1.0], [1.0, 1.0]])  # M = 0 where V > 0
-        with pytest.raises(DomainError):
-            kl_div(v, bad, eye)
-        assert np.isfinite(kl_div(v, bad, eye, eps=EPS))
+        assert np.isfinite(kl_div(v, bad, eye))
         neg = DataMatrix.dense([[1.0, -1.0], [2.0, 3.0]])
         for _ in range(2):
             with pytest.raises(DomainError):

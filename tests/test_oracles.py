@@ -271,13 +271,13 @@ class TestJacobiOracle:
         with pytest.raises(NumericError):
             jacobi_svd(make_rng(47).normal(size=(20, 10)), max_sweeps=1)
 
-    @pytest.mark.parametrize("variant", ["none", "a", "ar"])
+    @pytest.mark.parametrize("kind", ["nndsvd", "nndsvda", "nndsvdar"])
     @pytest.mark.parametrize("name,v,k", SEED_CASES,
                              ids=[case[0] for case in SEED_CASES])
-    def test_nndsvd_seeds_match_cyclic(self, monkeypatch, variant, name, v, k):
-        w, h = seed_nndsvd(v, k, variant, RngStream(3))
+    def test_nndsvd_seeds_match_cyclic(self, monkeypatch, kind, name, v, k):
+        w, h = seed_nndsvd(v, k, kind, RngStream(3))
         monkeypatch.setattr(seeding_mod, "jacobi_svd", cyclic_jacobi_svd)
-        w_want, h_want = seed_nndsvd(v, k, variant, RngStream(3))
+        w_want, h_want = seed_nndsvd(v, k, kind, RngStream(3))
         np.testing.assert_allclose(w, w_want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h, h_want, rtol=0, atol=1e-12)
 
