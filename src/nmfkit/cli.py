@@ -38,11 +38,13 @@ def _within(interval, cast):
     return parse
 
 
-_PARAM_TYPES = {f.name: field_type(f)[0] for f in dataclasses.fields(ParamSet)}
+_PARAM_TYPES = {f.name: _within(f.metadata["range"], field_type(f)[0])
+                for f in dataclasses.fields(ParamSet)}
 
 
 def _param(text):
-    """An argparse type: KEY=VALUE for a ParamSet field, as (key, value)."""
+    """An argparse type: KEY=VALUE for a ParamSet field, as (key, value);
+    the value must lie in the field's `errors.setting` range."""
     key, sep, value = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("expects KEY=VALUE, got %r" % text)
@@ -56,6 +58,9 @@ def _param(text):
         raise argparse.ArgumentTypeError(
             "parameter %s must be of type %s, got %r"
             % (key, _PARAM_TYPES[key].__name__, value)) from None
+    except argparse.ArgumentTypeError as exc:  # outside the field's range
+        raise argparse.ArgumentTypeError(
+            "parameter %s %s, got %r" % (key, exc, value)) from None
 
 
 def _ranks(text):

@@ -123,7 +123,7 @@ def objective(v, model: FactorModel, kind: str, wh=None) -> float:
     v = as_matrix(v)
     basis = basis_of(model)
     if kind == "euclidean":
-        return residual_sq(v, basis, model.H)
+        return residual_sq(v, basis, model.H, wh)
     if kind == "kl":
         return kl_div(v, basis, model.H, wh)
     raise ParamError("unknown objective kind %r" % (kind,))

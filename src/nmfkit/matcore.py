@@ -391,29 +391,29 @@ def kl_div(v, w, h, wh=None) -> float:
     return total + _inner(vp, np.log(vp / mp))
 
 
-def residual_sq(v, w, h) -> float:
+def residual_sq(v, w, h, wh=None) -> float:
     """The Euclidean residual ||V - W H||_F^2 of the model W @ H.
 
-    A dense V forms W H - V in place.  A CSR V takes the residual on its
-    stored entries and adds the mass of W H off the pattern,
-    <W'W, H H'> - sum over the pattern of (W H)^2, clamped at 0, so it
-    forms no m x n array.  That difference cancels: it can lose about
+    ``wh`` is `product_on(v, w, h)`, formed here if not given; a given one
+    is left as it is.  A dense V forms W H - V.  A CSR V takes the
+    residual on its stored entries and adds the mass of W H off the
+    pattern, <W'W, H H'> - sum over the pattern of (W H)^2, clamped at 0,
+    so it forms no m x n array.  That difference cancels: it can lose about
     eps ||W H||_F^2 (a few eps ||W H||_F^2 in tests, at most the length
     of its sums times that), so a CSR exact fit reads between 0 and that
     bound, where a dense one reads the rounding of W H - V.
     """
     v = as_matrix(v)
     _check_factors(v, w, h, "residual_sq")
+    r = (product_on(v, w, h) if wh is None else wh.copy()).reshape(-1)
     if not v.is_sparse:
-        r = w @ h
-        r -= v.dense_view()
-        return frobenius_sq(r)
-    wh = product_on(v, w, h)
-    on = _inner(wh, wh)
-    wh -= v.data
+        r -= v.values
+        return _inner(r, r)
+    on = _inner(r, r)
+    r -= v.data
     total = float(np.einsum("ab,ab->", np.einsum("ia,ib->ab", w, w),
                             np.einsum("aj,bj->ab", h, h)))
-    return _inner(wh, wh) + max(total - on, 0.0)
+    return _inner(r, r) + max(total - on, 0.0)
 
 
 # -- seeded randomness --------------------------------------------------------

@@ -8,6 +8,7 @@ digits so write/read roundtrips reproduce float64 matrices exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,16 @@ def _infer_format(path, fmt):
                      % str(path))
 
 
+def _first(mask) -> int:
+    """The index of the first True of `mask`, else its length."""
+    return int(np.append(mask, True).argmax())
+
+
+def _nonfinite(values) -> int:
+    """The index of the first value that is NaN or infinite, else len."""
+    return _first(~np.isfinite(values))
+
+
 def _numbers(tokens, dtype=np.float64):
     """(values, k, fault): `tokens` as `dtype` up to the first that is no
     int()/float() number in range; k, fault: first non-finite, else len."""
@@ -43,14 +54,42 @@ def _numbers(tokens, dtype=np.float64):
         values = _numbers(tokens[:half], dtype)[0]
         if len(values) == half > 0:  # not in the first half
             values = np.append(values, _numbers(tokens[half:], dtype)[0])
-    k = np.append(~np.isfinite(values), True).argmax()  # first, else len
+    k = _nonfinite(values)
     if k == len(tokens):
         return values, k, None
     return values, k, ("non-finite value %r" if k < len(values)
                        else "%r is not a number") % (tokens[k],)
 
 
-def _read_mtx(lines):
+def _is_header(line) -> bool:
+    """Whether the first non-blank CSV line holds a field that is no number."""
+    fields = line.split(",")
+    return len(_numbers(fields)[0]) < len(fields)
+
+
+def _coordinates(i, j, m, n):
+    """(b, d, order) of 1-based entry indices: b is the first entry outside
+    [1, m] x [1, n]; d the first before b that repeats an earlier (i, j),
+    else b; `order` sorts the entries before b by (i, j), equal ones in
+    file order."""
+    b = _first((i < 1) | (i > m) | (j < 1) | (j > n))
+    i, j = i[:b], j[:b]
+    order = np.lexsort((j, i))  # stable: of equal (i, j), file order
+    same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    return b, int(order[1:][same].min()) if same.any() else b, order
+
+
+def _csr(i, j, values, order, m, n):
+    """The CSR matrix of the checked entries (i, j, value), sorted by `order`."""
+    indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
+    return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
+
+
+def _mtx_head(lines):
+    """(layout, sizes, size_no, bad_size) of the header (line 1) and the
+    size line, the next line that is neither blank nor a `%` comment.
+    bad_size is the ShapeError of sizes out of range, to raise after the
+    body's faults, which name the entry that is wrong."""
     if not lines:
         raise ParseError("line 1: empty MatrixMarket file")
     header = lines[0].split()
@@ -62,13 +101,10 @@ def _read_mtx(lines):
         raise ParseError("line 1: unsupported layout %r" % (header[2],))
     if header[3].lower() != "real" or header[4].lower() != "general":
         raise ParseError("line 1: only 'real general' matrices are supported")
-
-    # numbers of the lines that are neither blank nor `%` comments
-    nos = [no for no, ln in enumerate(lines, 1) if ln and ln[0] != "%"]
-    if not nos:
+    size_no = next((no for no, ln in enumerate(lines[1:], 2)
+                    if ln and ln[0] != "%"), None)
+    if size_no is None:
         raise ParseError("missing size line")
-    size_no, nos = nos[0], nos[1:]
-    entries = [lines[no - 1] for no in nos]
     size_line = lines[size_no - 1].split()
     need = "rows cols nnz" if layout == "coordinate" else "rows cols"
     if len(size_line) != len(need.split()):
@@ -79,10 +115,19 @@ def _read_mtx(lines):
     except ValueError:
         raise ParseError("line %d: bad size line" % size_no) from None
     m, n = sizes[:2]
-    # checked after the body's faults, which name the entry that is wrong
     bad_size = None if 0 < m < 2**63 and 0 < n and sizes[-1] >= 0 else \
         ShapeError("line %d: the size line needs at least one row and column,"
                    " fewer than 2**63 rows and nnz >= 0" % size_no)
+    return layout, sizes, size_no, bad_size
+
+
+def _read_mtx(lines):
+    layout, sizes, size_no, bad_size = _mtx_head(lines)
+    # numbers of the body lines that are neither blank nor `%` comments
+    nos = [no for no, ln in enumerate(lines[size_no:], size_no + 1)
+           if ln and ln[0] != "%"]
+    entries = [lines[no - 1] for no in nos]
+    m, n = sizes[:2]
 
     if layout == "array":
         values, k, fault = _numbers(" ".join(entries).split())
@@ -104,22 +149,18 @@ def _read_mtx(lines):
     flat, c = " ; ".join(entries).split(), len(entries)
     if not (len(flat) == 4 * c - 1
             and flat.count(";") == flat[3::4].count(";") == c - 1):
-        c = np.append([len(ln.split()) != 3 for ln in entries], True).argmax()
+        c = _first([len(ln.split()) != 3 for ln in entries])
         flat = " ; ".join(entries[:c]).split()
     fault = "expected 'i j value'" if c < len(entries) else None
     i, j = _numbers(flat[0::4], np.int64)[0], _numbers(flat[1::4], np.int64)[0]
     i, j = i[:len(j)], j[:len(i)]
-    b = np.append((i < 1) | (i > m) | (j < 1) | (j > n), True).argmax()
+    b, d, order = _coordinates(i, j, m, n)
     if b < c:  # int() takes what overflows int64
         try:
             fault = "index (%d, %d) out of bounds" % tuple(
                 map(int, flat[4 * b:4 * b + 2]))
         except ValueError:
             fault = "bad coordinate indices"
-    i, j = i[:b], j[:b]
-    order = np.lexsort((j, i))  # stable: of equal (i, j), file order
-    same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
-    d = int(order[1:][same].min()) if same.any() else b
     fault = "duplicate entry (%d, %d)" % (i[d], j[d]) if d < b else fault
     values, v, bad_value = _numbers(flat[2::4])
     fault = bad_value if v < d else fault
@@ -127,21 +168,20 @@ def _read_mtx(lines):
         raise ParseError("line %d: %s" % (nos[min(v, d)], fault))
     if bad_size:
         raise bad_size
-    indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
-    return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
+    return _csr(i, j, values, order, m, n)
 
 
 def _read_csv(lines):
     nos = [no for no, ln in enumerate(lines, 1) if ln]
     if not nos:
         raise ParseError("line 1: empty CSV file")
-    first = lines[nos[0] - 1].split(",")  # if not numeric, an optional header
-    nos = nos[1:] if len(_numbers(first)[0]) < len(first) else nos
+    # if not numeric, the first line is an optional header
+    nos = nos[1:] if _is_header(lines[nos[0] - 1]) else nos
     if not nos:
         raise ParseError("CSV contains a header but no data rows")
     rows = [lines[no - 1] for no in nos]
     widths = np.array([ln.count(",") for ln in rows]) + 1
-    r = np.append(widths != widths[0], True).argmax()
+    r = _first(widths != widths[0])
     values, k, fault = _numbers(",".join(rows[:r]).split(","))
     if fault:
         raise ParseError("line %d: %s" % (nos[k // widths[0]], fault))
@@ -149,6 +189,63 @@ def _read_csv(lines):
         raise ParseError("line %d: expected %d fields, found %d"
                          % (nos[r], widths[0], widths[r]))
     return DataMatrix.dense(values.reshape((r, -1)))
+
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("x", np.float64)])
+
+
+def _loadtxt(first, fh, dtype, delimiter=None, ndmin=1):
+    """The line `first` and the rest of `fh` through numpy's C reader,
+    which raises ValueError on what it refuses.  No comments or quotes, so
+    a `%` line is refused; `first` must hold a value, since an empty body
+    makes loadtxt warn."""
+    return np.loadtxt(itertools.chain([first], fh), dtype=dtype,
+                      delimiter=delimiter, comments=None, quotechar=None,
+                      ndmin=ndmin)
+
+
+def _load_mtx(fh):
+    """The MatrixMarket file `fh` read through `_loadtxt`; None, or a
+    ValueError, where the token path `_read_mtx` must read it."""
+    head = []
+    for line in iter(fh.readline, ""):  # up to the size line
+        head.append(line.strip())
+        if len(head) > 1 and head[-1][:1] not in ("", "%"):
+            break
+    try:
+        layout, sizes, _, bad_size = _mtx_head(head)
+    except ParseError:
+        return None
+    first = fh.readline()
+    if bad_size or not first.strip():
+        return None
+    m, n = sizes[:2]
+    if layout == "array":
+        values = _loadtxt(first, fh, np.float64).ravel()
+        if len(values) != m * n or _nonfinite(values) < m * n:
+            return None
+        return DataMatrix.dense(values.reshape((n, m)).T)
+    body = _loadtxt(first, fh, _ENTRY)
+    i, j, values = body["i"], body["j"], body["x"]
+    b, d, order = _coordinates(i, j, m, n)
+    if (len(body) != sizes[2] or d < len(body)
+            or _nonfinite(values) < len(body)):
+        return None
+    return _csr(i, j, values, order, m, n)
+
+
+def _load_csv(fh):
+    """The CSV file `fh` read through `_loadtxt`; None, or a ValueError,
+    where the token path `_read_csv` must read it."""
+    first = fh.readline().strip()
+    if first and _is_header(first):
+        first = fh.readline().strip()
+    if not first:
+        return None
+    values = _loadtxt(first, fh, np.float64, delimiter=",", ndmin=2)
+    if _nonfinite(values.ravel()) < values.size:
+        return None
+    return DataMatrix.dense(values)
 
 
 def read_matrix(path, fmt: str | None = None) -> DataMatrix:
@@ -159,37 +256,61 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     fail the parse.  Running out of memory raises OutOfMemoryError.
     """
     fmt = _infer_format(path, fmt)
+    load, read = (_load_mtx, _read_mtx) if fmt == "mtx" else (_load_csv,
+                                                              _read_csv)
     with out_of_memory("reading %s" % (path,)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
+                try:  # loadtxt's refusal, or a byte that is not UTF-8
+                    matrix = load(fh)
+                except ValueError:
+                    matrix = None
+                if matrix is not None:
+                    return matrix
+                fh.seek(0)
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
         lines = [ln.strip() for ln in text.split("\n")] if text else []
-        return (_read_mtx if fmt == "mtx" else _read_csv)(lines)
+        return read(lines)
+
+
+_CHUNK = 8192  # values formatted per write
+
+
+def _chunks(n, step=_CHUNK):
+    """Slices that cover range(n), `step` at a time."""
+    return (slice(s, s + step) for s in range(0, n, step))
 
 
 def write_matrix(matrix, path, fmt: str | None = None) -> None:
-    """Write a matrix; dense goes to `array`/CSV, CSR to `coordinate`."""
+    """Write a matrix; dense goes to `array`/CSV, CSR to `coordinate`.
+    Lines are formatted and written a bounded chunk at a time."""
     matrix = as_matrix(matrix)
     fmt = _infer_format(path, fmt)
     if fmt == "mtx" and matrix.is_sparse:
+        head = ("%%%%MatrixMarket matrix coordinate real general\n"
+                "%d %d %d\n" % (*matrix.shape, matrix.nnz))
         rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(matrix.indptr))
-        out = ["%%MatrixMarket matrix coordinate real general",
-               "%d %d %d" % (matrix.rows, matrix.cols, matrix.nnz)]
-        out += ["%d %d %.17g" % entry for entry in
-                zip(rows.tolist(), (matrix.indices + 1).tolist(),
-                    matrix.data.tolist())]
+        cols = matrix.indices + 1
+        chunks = ("".join(["%d %d %.17g\n" % entry for entry in zip(
+            rows[c].tolist(), cols[c].tolist(), matrix.data[c].tolist())])
+            for c in _chunks(matrix.nnz))
     elif fmt == "mtx":  # column-major per the format
-        out = ["%%MatrixMarket matrix array real general",
-               "%d %d" % matrix.shape]
-        out += ["%.17g" % x for x in matrix.dense_view().T.ravel().tolist()]
+        head = "%%%%MatrixMarket matrix array real general\n%d %d\n" % (
+            matrix.shape)
+        values = matrix.dense_view().T.ravel()
+        chunks = ("".join(["%.17g\n" % x for x in values[c].tolist()])
+                  for c in _chunks(values.size))
     else:
-        out = [",".join("%.17g" % x for x in row)
-               for row in matrix.dense_view().tolist()]
+        head, line = "", ",".join(["%.17g"] * matrix.cols) + "\n"
+        dense = matrix.dense_view()
+        chunks = ("".join([line % tuple(row) for row in dense[c].tolist()])
+                  for c in _chunks(matrix.rows, max(1, _CHUNK // matrix.cols)))
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out) + "\n")
+            fh.write(head)
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 

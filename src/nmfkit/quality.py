@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateError, MetricError, RankError, out_of_memory
 from .factor import FactorModel, basis_of, objective
-from .matcore import as_matrix, frobenius_sq, kl_div
+from .matcore import as_matrix, frobenius_sq, kl_div, product_on
 
 
 @dataclass
@@ -33,9 +33,10 @@ class FitSummary:
     sparseness_h: float
 
 
-def rss(v, model: FactorModel) -> float:
-    """Residual sum of squares against the model reconstruction."""
-    return objective(v, model, "euclidean")
+def rss(v, model: FactorModel, wh=None) -> float:
+    """Residual sum of squares against the model reconstruction; ``wh`` is
+    `product_on(v, basis_of(model), model.H)`, formed if not given."""
+    return objective(v, model, "euclidean", wh)
 
 
 def evar(v, model: FactorModel) -> float:
@@ -208,12 +209,14 @@ def fit_summary(v, model: FactorModel, sparseness_axis: str = "columns") -> FitS
     v = as_matrix(v)
     with out_of_memory("measuring a rank-%d fit of a %dx%d matrix"
                        % (model.W.shape[1], v.rows, v.cols)):
-        r = rss(v, model)
+        basis = basis_of(model)
+        wh = product_on(v, basis, model.H)  # shared by both distances
+        r = rss(v, model, wh)
         sp_w, sp_h = sparseness(model, axis=sparseness_axis)
         return FitSummary(
             rss=r,
             evar=_evar_of_rss(v, r),
             dist_euclidean=math.sqrt(r),
-            dist_kl=distance(v, model, "kl"),
+            dist_kl=kl_div(v, basis, model.H, wh),
             sparseness_w=sp_w,
             sparseness_h=sp_h)

@@ -125,7 +125,7 @@ def seed_nndsvd(v, k, kind: str, rng: RngStream):
     v = as_matrix(v)
     m, n = v.shape
     if kind not in ("nndsvd", "nndsvda", "nndsvdar"):
-        raise ParamError("unknown nndsvd variant %r" % (kind,))
+        raise SeedError("unknown nndsvd variant %r" % (kind,))
     vd = v.dense_view()
     u, s, vt = jacobi_svd(vd)
     w = np.zeros((m, k))

@@ -8,7 +8,7 @@ import pytest
 import nmfkit.cli as cli_mod
 import nmfkit.matcore as matcore_mod
 from nmfkit.cli import main
-from nmfkit.factor import FactorConfig
+from nmfkit.factor import FactorConfig, ParamSet
 from nmfkit.mio import read_matrix
 
 
@@ -150,15 +150,19 @@ class TestExitCodes:
         ("bd", "sigma_shape=-200"),  # was numpy's "shape < 0" ValueError
         ("snmf-r", "eta=nan"),       # was a run that exited 0
     ])
-    def test_out_of_range_param_is_param_error(self, tmp_path, small_matrix,
-                                               capsys, method, param):
-        code = main(["factorize", "--input", str(small_matrix),
+    def test_out_of_range_param_is_param_error(self, tmp_path, capsys,
+                                               method, param):
+        # flag misuse: exit 2 from argparse, before the input is read
+        code = main(["factorize", "--input", str(tmp_path / "absent.mtx"),
                      "--method", method, "--rank", "3", "--param", param,
                      "--output-dir", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error (param): method parameter %s "
-                              % param.split("=")[0])
+        assert code == 2
+        key, value = param.split("=")
+        interval = ParamSet.__dataclass_fields__[key].metadata["range"]
+        assert ("factorize: error: argument --param: parameter %s must be "
+                "finite and lie in %s, got %r" % (key, interval, value)
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [
         ["--allow-negative"],    # V >= 0 is checked by factorize alone

@@ -415,6 +415,20 @@ class TestResidualSq:
         assert 0.0 <= got <= 16 * EPS * frobenius_sq(wh)
 
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_given_product_is_left_as_it_is(self, sparse):
+        rng = make_rng(43)
+        dense = sparsify(rng, 30, 20, 0.3, high=4.0)
+        v = to_csr(dense) if sparse else DataMatrix.dense(dense)
+        w, h = rng.uniform(size=(30, 3)), rng.uniform(size=(3, 20))
+        wh = product_on(v, w, h)
+        before = wh.copy()
+        got = residual_sq(v, w, h, wh)
+        assert wh.tobytes() == before.tobytes()
+        assert got == residual_sq(v, w, h)  # the bits of its own product
+        assert kl_div(v, w, h, wh) == kl_div(v, w, h)
+
+
 class TestScratchBuffers:
     """The CSR gathers fill per-thread buffers kept on V's pattern."""
 

@@ -1,4 +1,7 @@
+import io
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +102,24 @@ class TestReadMtx:
             read_matrix(path)
 
     def test_memory_error_is_typed(self, tmp_path, monkeypatch):
+        # loadtxt's MemoryError is no refusal: no fallback swallows it
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n"
                         "1 1\n2.0\n")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(mio_mod.np, "loadtxt", exhausted)
+        with pytest.raises(OutOfMemoryError, match="m.mtx") as info:
+            read_matrix(path)
+        assert info.value.kind == "memory"
+
+    def test_memory_error_in_token_path_is_typed(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "m.mtx"  # a comment in the body: the token path
+        path.write_text("%%MatrixMarket matrix array real general\n"
+                        "1 1\n% c\n2.0\n")
 
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -393,6 +411,147 @@ class TestTokenSyntax:
         assert got.indptr.tobytes() == want.indptr.tobytes()
         assert got.indices.tobytes() == want.indices.tobytes()
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def _load(text, fmt="mtx"):
+    """What the loadtxt path makes of `text`: a DataMatrix, or None where
+    it leaves the file to the token path (a refusal or a failed check)."""
+    load = mio_mod._load_mtx if fmt == "mtx" else mio_mod._load_csv
+    try:
+        return load(io.StringIO(text))
+    except ValueError:
+        return None
+
+
+def _python_number(cast, token):
+    try:
+        return cast(token)
+    except ValueError:
+        return None
+
+
+class TestLoadtxtPath:
+    """The bodies that numpy's C reader takes, and the token path's
+    fallback for everything else."""
+
+    def test_differential_against_int_and_float(self):
+        rng = make_rng(21)
+        alphabet = list("0123456789+-.e_naifx")
+        tokens = ["".join(rng.choice(alphabet, size=rng.integers(1, 7)))
+                  for _ in range(3000)]
+        tokens += ["inf", "-inf", "nan", "-nan", "Infinity", "1e308", "1e309",
+                   ".5", "5.", "+.5e-3", "1_0", "5e1_0", "0x10", "1e+", "++1"]
+        taken = 0
+        for token in tokens:
+            i, x = _python_number(int, token), _python_number(float, token)
+            got = _load(MTX_COORD + "1 %d 1\n1 %s 1\n" % (2**62, token))
+            if got is not None:  # Python takes it, as the same index
+                assert i is not None and got.indices.tolist() == [i - 1]
+            for text, fmt in ((MTX_ARRAY + "1 1\n%s\n" % token, "mtx"),
+                              ("%s\n" % token, "csv")):
+                got = _load(text, fmt)
+                if got is not None:  # Python takes it, with the same bits
+                    taken += 1
+                    assert x is not None and np.isfinite(x)
+                    assert (got.dense_view()[0, 0].tobytes()
+                            == np.float64(x).tobytes())
+        assert taken > 500
+
+    @pytest.mark.parametrize("text, want", [
+        (MTX_ARRAY + "2 1\n1_0\n2\n", [[10.0], [2.0]]),
+        (MTX_ARRAY + "2 1\n٣\n2\n", [[3.0], [2.0]]),
+        (MTX_ARRAY + "2 1\n1\n% c\n2\n", [[1.0], [2.0]]),
+        (MTX_ARRAY + "2 2\n1 2\n3\n4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        (MTX_COORD + "2 2 2\n1 1 1_0\n% c\n2 2 2\n", [[10.0, 0.0],
+                                                       [0.0, 2.0]]),
+        (MTX_COORD + "2 2 1\n٢ 1 1\n", [[0.0, 0.0], [1.0, 0.0]]),
+        (MTX_COORD + "2 2 1\n9223372036854775808 1 1\n",
+         "line 3: index (9223372036854775808, 1) out of bounds"),
+        (MTX_COORD + "2 2 1\n1 1 1e400\n", "line 3: non-finite value '1e400'"),
+        ("1,2\n3,4_0\n", [[1.0, 2.0], [3.0, 40.0]]),
+    ], ids=["underscore", "arabic-digit", "comment", "ragged",
+            "coordinate-comment", "arabic-index", "index-past-int64",
+            "overflow-value", "csv-underscore"])
+    def test_fallback_gives_the_token_path_result(self, tmp_path, text,
+                                                  want):
+        assert _load(text, "csv" if "," in text else "mtx") is None
+        path = tmp_path / ("m.csv" if "," in text else "m.mtx")
+        path.write_text(text)
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as err:
+                read_matrix(path)
+            assert str(err.value) == want
+        else:
+            assert read_matrix(path).to_dense().tolist() == want
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # universal newlines, as the token path reads the text
+        path = tmp_path / "m.mtx"
+        path.write_bytes(MTX_COORD.encode() + b"2 2 2\n1 1 2\r2 2 3\n")
+        assert read_matrix(path).to_dense().tolist() == [[2.0, 0.0],
+                                                         [0.0, 3.0]]
+
+    @pytest.mark.parametrize("text", [MTX_COORD + "2 2 0\n",
+                                      MTX_COORD + "2 2 0\n\n"])
+    def test_empty_body_reads_without_warning(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = read_matrix(path)
+        assert m.is_sparse and m.shape == (2, 2) and m.nnz == 0
+
+    @pytest.mark.parametrize("name", ["m.mtx", "m.csv"])
+    def test_body_not_utf8_partway_is_io_error(self, tmp_path, name):
+        # past the first decoded chunk: the position is the file's own
+        body = "".join("%d,1\n" % k if name == "m.csv" else "%d 1 1\n" % k
+                       for k in range(1, 3001))
+        head = "" if name == "m.csv" else MTX_COORD + "3001 1 3001\n"
+        data = (head + body).encode() + b"\xff\n"
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(IoError) as err:
+            read_matrix(path)
+        assert str(err.value) == (
+            "cannot read %s: 'utf-8' codec can't decode byte 0xff in "
+            "position %d: invalid start byte" % (path, len(data) - 2))
+
+    def test_coordinate_read_memory_is_bounded(self, tmp_path):
+        # 40k entries: about 13 MB of Python strings on the token path
+        rng = make_rng(22)
+        m, n, nnz = 2000, 1000, 40_000
+        flat = np.sort(rng.choice(m * n, size=nnz, replace=False))
+        v = DataMatrix.from_coo(flat // n, flat % n,
+                                rng.poisson(3.0, size=nnz) + 1.0, (m, n))
+        path = tmp_path / "m.mtx"
+        write_matrix(v, path)
+        tracemalloc.start()
+        try:
+            got = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.data.tobytes() == v.data.tobytes()
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("shape", [(3000, 7), (7, 3000), (1, 1)])
+    def test_chunked_writer_matches_one_join(self, tmp_path, shape):
+        rng = make_rng(23)
+        dense = sparsify(rng, *shape, density=0.5)
+        sp = DataMatrix.from_coo(*np.nonzero(dense), dense[dense != 0], shape)
+        rows = np.repeat(np.arange(1, shape[0] + 1), np.diff(sp.indptr))
+        want = {
+            "s.mtx": [MTX_COORD.strip(), "%d %d %d" % (*shape, sp.nnz)]
+            + ["%d %d %.17g" % e for e in zip(rows.tolist(),
+                                              (sp.indices + 1).tolist(),
+                                              sp.data.tolist())],
+            "d.mtx": [MTX_ARRAY.strip(), "%d %d" % shape]
+            + ["%.17g" % x for x in dense.T.ravel().tolist()],
+            "d.csv": [",".join("%.17g" % x for x in row)
+                      for row in dense.tolist()]}
+        for name, lines in want.items():
+            write_matrix(sp if name == "s.mtx" else dense, tmp_path / name)
+            assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
 
 
 class TestRoundtrips:

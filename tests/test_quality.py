@@ -324,6 +324,25 @@ class TestFitSummary:
         with pytest.raises(DegenerateError):
             fit_summary(np.zeros((7, 5)), m)
 
+    def test_one_product_per_csr_summary(self, monkeypatch):
+        import nmfkit.matcore as matcore_mod
+        import nmfkit.quality as quality_mod
+        rng = make_rng(13)
+        v = to_csr(sparsify(rng, 40, 30, density=0.2))
+        model = model_of(rng.uniform(size=(40, 3)), rng.uniform(size=(3, 30)))
+        want = rss(v, model), distance(v, model, "kl")
+        calls, product_on = [], matcore_mod.product_on
+
+        def counted(*args):
+            calls.append(args)
+            return product_on(*args)
+
+        for mod in (matcore_mod, quality_mod):
+            monkeypatch.setattr(mod, "product_on", counted)
+        s = fit_summary(v, model)
+        assert len(calls) == 1
+        assert (s.rss, s.dist_kl) == want
+
     def test_memory_error_is_typed(self, monkeypatch):
         import nmfkit.quality as quality_mod
         rng = make_rng(11)

@@ -207,7 +207,9 @@ class TestSeedNndsvd:
         np.testing.assert_allclose(w @ h, v, atol=1e-10)
 
     def test_bad_variant(self):
-        with pytest.raises(ParamError):
+        # the error kind seed_factors gives for an unknown kind
+        with pytest.raises(SeedError, match="^unknown nndsvd variant "
+                                            "'nndsvdb'$"):
             seed_nndsvd(np.ones((3, 3)), 2, "nndsvdb", RngStream(0))
 
 
