@@ -4,6 +4,13 @@ MatrixMarket (`coordinate` and `array`, field `real general`) and bare
 numeric CSV readers/writers, JSON fit summaries, and a seeded synthetic
 block-structured dataset generator.  Values are printed with 17 significant
 digits so write/read roundtrips reproduce float64 matrices exactly.
+
+A reader parses the body with `np.loadtxt` on the open file (`_load_mtx`,
+`_load_csv`), whose syntax is a strict subset of int()'s and float()'s.
+Where it refuses the body or a check finds a fault, the token path
+(`_read_mtx`, `_read_csv`) reads the file again: it alone words errors.
+Both paths run the same checks (`_mtx_head`, `_coordinates`,
+`_nonfinite`).  The writer formats a bounded chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ def _coordinates(i, j, m, n):
 
 
 def _csr(i, j, values, order, m, n):
-    """The CSR matrix of the checked entries (i, j, value), sorted by `order`."""
+    """The CSR matrix of the checked entries (i, j, value) in `order`."""
     indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
     return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
 
