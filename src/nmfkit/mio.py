@@ -5,10 +5,11 @@ numeric CSV readers/writers, JSON fit summaries, and a seeded synthetic
 block-structured dataset generator.  Values are printed with 17 significant
 digits so write/read roundtrips reproduce float64 matrices exactly.
 
-A reader parses the body with `np.loadtxt` on the open file (`_load_mtx`,
-`_load_csv`), whose syntax is a strict subset of int()'s and float()'s.
-Where it refuses the body or a check finds a fault, the token path
-(`_read_mtx`, `_read_csv`) reads the file again: it alone words errors.
+A reader decodes the whole text, then parses the body with `np.loadtxt` on
+the open file (`_load_mtx`, `_load_csv`), whose syntax is a strict subset
+of int()'s and float()'s.  Where it refuses the body or a check finds a
+fault, the token path (`_read_mtx`, `_read_csv`) parses the text: it
+alone words errors.
 Both paths run the same checks (`_mtx_head`, `_coordinates`,
 `_nonfinite`).  The writer formats a bounded chunk of lines at a time.
 """
@@ -268,16 +269,22 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     with out_of_memory("reading %s" % (path,)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                try:  # loadtxt's refusal, or a byte that is not UTF-8
-                    matrix = load(fh)
-                except ValueError:
-                    matrix = None
-                if matrix is not None:
-                    return matrix
-                fh.seek(0)
+                # the token path's text, decoded whole: a byte that is not
+                # UTF-8 fails before any parse, and a fallback reads nothing
+                # again.  Freeing a block the size of the file also raises
+                # glibc's dynamic mmap/trim thresholds; without that, the
+                # m x n temporaries of a later dense nmf-kl run are trimmed
+                # and faulted back in (ROADMAP, known defects).
                 text = fh.read()
+                fh.seek(0)
+                try:
+                    matrix = load(fh)
+                except ValueError:  # loadtxt's refusal
+                    matrix = None
         except (OSError, UnicodeDecodeError) as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
+        if matrix is not None:
+            return matrix
         lines = [ln.strip() for ln in text.split("\n")] if text else []
         return read(lines)
 
