@@ -214,7 +214,7 @@ def _loadtxt(first, fh, dtype, delimiter=None, ndmin=1):
 
 def _load_mtx(fh):
     """The MatrixMarket file `fh` read through `_loadtxt`; None, or a
-    ValueError, where the token path `_read_mtx` must read it."""
+    ValueError, where the token path `_read_mtx` must parse it."""
     head = []
     for line in iter(fh.readline, ""):  # up to the size line
         head.append(line.strip())
@@ -244,7 +244,7 @@ def _load_mtx(fh):
 
 def _load_csv(fh):
     """The CSV file `fh` read through `_loadtxt`; None, or a ValueError,
-    where the token path `_read_csv` must read it."""
+    where the token path `_read_csv` must parse it."""
     first = fh.readline().strip()
     if first and _is_header(first):
         first = fh.readline().strip()
@@ -299,32 +299,36 @@ def _chunks(n, step=_CHUNK):
 
 def write_matrix(matrix, path, fmt: str | None = None) -> None:
     """Write a matrix; dense goes to `array`/CSV, CSR to `coordinate`.
-    Lines are formatted and written a bounded chunk at a time."""
+    Lines are formatted and written a bounded chunk at a time, each chunk
+    by one `%` operation on the repeated line format."""
     matrix = as_matrix(matrix)
     fmt = _infer_format(path, fmt)
     if fmt == "mtx" and matrix.is_sparse:
         head = ("%%%%MatrixMarket matrix coordinate real general\n"
                 "%d %d %d\n" % (*matrix.shape, matrix.nnz))
+        line = "%d %d %.17g\n"
         rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(matrix.indptr))
         cols = matrix.indices + 1
-        chunks = ("".join(["%d %d %.17g\n" % entry for entry in zip(
-            rows[c].tolist(), cols[c].tolist(), matrix.data[c].tolist())])
+        chunks = (tuple(itertools.chain.from_iterable(zip(
+            rows[c].tolist(), cols[c].tolist(), matrix.data[c].tolist())))
             for c in _chunks(matrix.nnz))
     elif fmt == "mtx":  # column-major per the format
         head = "%%%%MatrixMarket matrix array real general\n%d %d\n" % (
             matrix.shape)
+        line = "%.17g\n"
         values = matrix.dense_view().T.ravel()
-        chunks = ("".join(["%.17g\n" % x for x in values[c].tolist()])
-                  for c in _chunks(values.size))
+        chunks = (tuple(values[c].tolist()) for c in _chunks(values.size))
     else:
         head, line = "", ",".join(["%.17g"] * matrix.cols) + "\n"
         dense = matrix.dense_view()
-        chunks = ("".join([line % tuple(row) for row in dense[c].tolist()])
-                  for c in _chunks(matrix.rows, max(1, _CHUNK // matrix.cols)))
+        chunks = (tuple(dense[c].ravel().tolist()) for c in
+                  _chunks(matrix.rows, max(1, _CHUNK // matrix.cols)))
+    per_line = line.count("%")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head)
-            fh.writelines(chunks)
+            for flat in chunks:
+                fh.write((line * (len(flat) // per_line)) % flat)
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 
