@@ -235,7 +235,7 @@ def _load_mtx(fh):
         return DataMatrix.dense(values.reshape((n, m)).T)
     body = _loadtxt(first, fh, _ENTRY)
     i, j, values = body["i"], body["j"], body["x"]
-    b, d, order = _coordinates(i, j, m, n)
+    _, d, order = _coordinates(i, j, m, n)
     if (len(body) != sizes[2] or d < len(body)
             or _nonfinite(values) < len(body)):
         return None
