@@ -5,20 +5,25 @@ numeric CSV readers/writers, JSON fit summaries, and a seeded synthetic
 block-structured dataset generator.  Values are printed with 17 significant
 digits so write/read roundtrips reproduce float64 matrices exactly.
 
-A reader decodes the whole text, then parses the body with `np.loadtxt` on
-the open file (`_load_mtx`, `_load_csv`), whose syntax is a strict subset
-of int()'s and float()'s.  Where it refuses the body or a check finds a
-fault, the token path (`_read_mtx`, `_read_csv`) parses the text: it
-alone words errors.
-Both paths run the same checks (`_mtx_head`, `_coordinates`,
-`_nonfinite`).  The writer formats a bounded chunk of lines at a time.
+A reader decodes the whole text.  A MatrixMarket `coordinate` body is
+then parsed by `np.loadtxt` on the open file (`_load_coordinates`), whose
+syntax is a strict subset of int()'s and float()'s; a body that it
+refuses or warns on, or whose checks find a fault, goes to the token path
+(`_read_mtx`), which alone words errors.  `array` and CSV bodies take the
+token path (`_read_mtx`, `_read_csv`).  Both paths run the same checks
+(`_mtx_head`, `_coordinates`, `_nonfinite`).  The writer formats a bounded
+chunk of lines at a time and removes its file if a chunk fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +72,6 @@ def _numbers(tokens, dtype=np.float64):
         return values, k, None
     return values, k, ("non-finite value %r" if k < len(values)
                        else "%r is not a number") % (tokens[k],)
-
-
-def _is_header(line) -> bool:
-    """Whether the first non-blank CSV line holds a field that is no number."""
-    fields = line.split(",")
-    return len(_numbers(fields)[0]) < len(fields)
 
 
 def _coordinates(i, j, m, n):
@@ -183,8 +182,8 @@ def _read_csv(lines):
     nos = [no for no, ln in enumerate(lines, 1) if ln]
     if not nos:
         raise ParseError("line 1: empty CSV file")
-    # if not numeric, the first line is an optional header
-    nos = nos[1:] if _is_header(lines[nos[0] - 1]) else nos
+    first = lines[nos[0] - 1].split(",")  # if not numeric, an optional header
+    nos = nos[1:] if len(_numbers(first)[0]) < len(first) else nos
     if not nos:
         raise ParseError("CSV contains a header but no data rows")
     rows = [lines[no - 1] for no in nos]
@@ -202,19 +201,10 @@ def _read_csv(lines):
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("x", np.float64)])
 
 
-def _loadtxt(first, fh, dtype, delimiter=None, ndmin=1):
-    """The line `first` and the rest of `fh` through numpy's C reader,
-    which raises ValueError on what it refuses.  No comments or quotes, so
-    a `%` line is refused; `first` must hold a value, since an empty body
-    makes loadtxt warn."""
-    return np.loadtxt(itertools.chain([first], fh), dtype=dtype,
-                      delimiter=delimiter, comments=None, quotechar=None,
-                      ndmin=ndmin)
-
-
-def _load_mtx(fh):
-    """The MatrixMarket file `fh` read through `_loadtxt`; None, or a
-    ValueError, where the token path `_read_mtx` must parse it."""
+def _load_coordinates(fh):
+    """The coordinate MatrixMarket file `fh` read through numpy's C reader;
+    None where the token path `_read_mtx` must parse it: another layout, a
+    body that loadtxt refuses or warns on, or a check that finds a fault."""
     head = []
     for line in iter(fh.readline, ""):  # up to the size line
         head.append(line.strip())
@@ -224,36 +214,24 @@ def _load_mtx(fh):
         layout, sizes, _, bad_size = _mtx_head(head)
     except ParseError:
         return None
-    first = fh.readline()
-    if bad_size or not first.strip():
+    if layout != "coordinate" or bad_size:
         return None
-    m, n = sizes[:2]
-    if layout == "array":
-        values = _loadtxt(first, fh, np.float64).ravel()
-        if len(values) != m * n or _nonfinite(values) < m * n:
-            return None
-        return DataMatrix.dense(values.reshape((n, m)).T)
-    body = _loadtxt(first, fh, _ENTRY)
+    try:
+        # no comments or quotes, so a `%` line is refused; a warning (an
+        # empty body, a numpy that parses an index through float) refuses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, dtype=_ENTRY, comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
     i, j, values = body["i"], body["j"], body["x"]
+    m, n = sizes[:2]
     _, d, order = _coordinates(i, j, m, n)
     if (len(body) != sizes[2] or d < len(body)
             or _nonfinite(values) < len(body)):
         return None
     return _csr(i, j, values, order, m, n)
-
-
-def _load_csv(fh):
-    """The CSV file `fh` read through `_loadtxt`; None, or a ValueError,
-    where the token path `_read_csv` must parse it."""
-    first = fh.readline().strip()
-    if first and _is_header(first):
-        first = fh.readline().strip()
-    if not first:
-        return None
-    values = _loadtxt(first, fh, np.float64, delimiter=",", ndmin=2)
-    if _nonfinite(values.ravel()) < values.size:
-        return None
-    return DataMatrix.dense(values)
 
 
 def read_matrix(path, fmt: str | None = None) -> DataMatrix:
@@ -264,8 +242,6 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
     fail the parse.  Running out of memory raises OutOfMemoryError.
     """
     fmt = _infer_format(path, fmt)
-    load, read = (_load_mtx, _read_mtx) if fmt == "mtx" else (_load_csv,
-                                                              _read_csv)
     with out_of_memory("reading %s" % (path,)):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -277,16 +253,13 @@ def read_matrix(path, fmt: str | None = None) -> DataMatrix:
                 # and faulted back in (ROADMAP, known defects).
                 text = fh.read()
                 fh.seek(0)
-                try:
-                    matrix = load(fh)
-                except ValueError:  # loadtxt's refusal
-                    matrix = None
+                matrix = _load_coordinates(fh) if fmt == "mtx" else None
         except (OSError, UnicodeDecodeError) as exc:
             raise IoError("cannot read %s: %s" % (path, exc)) from exc
         if matrix is not None:
             return matrix
         lines = [ln.strip() for ln in text.split("\n")] if text else []
-        return read(lines)
+        return (_read_mtx if fmt == "mtx" else _read_csv)(lines)
 
 
 _CHUNK = 8192  # values formatted per write
@@ -325,12 +298,23 @@ def write_matrix(matrix, path, fmt: str | None = None) -> None:
                   _chunks(matrix.rows, max(1, _CHUNK // matrix.cols)))
     per_line = line.count("%")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise IoError("cannot write %s: %s" % (path, exc)) from exc
+    try:
+        with fh:
             fh.write(head)
             for flat in chunks:
                 fh.write((line * (len(flat) // per_line)) % flat)
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc)) from exc
+    except BaseException as exc:
+        # a failed or interrupted chunk leaves no partial file; a device
+        # or a link at `path` is left alone
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        if isinstance(exc, OSError):
+            raise IoError("cannot write %s: %s" % (path, exc)) from exc
+        raise
 
 
 def write_summary(payload: dict, path) -> None:

@@ -102,7 +102,6 @@ class TestReadMtx:
             read_matrix(path)
 
     def test_memory_error_is_typed(self, tmp_path, monkeypatch):
-        # loadtxt's MemoryError is no refusal: no fallback swallows it
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n"
                         "1 1\n2.0\n")
@@ -110,21 +109,21 @@ class TestReadMtx:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(mio_mod.np, "loadtxt", exhausted)
+        monkeypatch.setattr(mio_mod, "_read_mtx", exhausted)
         with pytest.raises(OutOfMemoryError, match="m.mtx") as info:
             read_matrix(path)
         assert info.value.kind == "memory"
 
-    def test_memory_error_in_token_path_is_typed(self, tmp_path,
-                                                 monkeypatch):
-        path = tmp_path / "m.mtx"  # a comment in the body: the token path
-        path.write_text("%%MatrixMarket matrix array real general\n"
-                        "1 1\n% c\n2.0\n")
+    def test_loadtxt_memory_error_is_typed(self, tmp_path, monkeypatch):
+        # loadtxt's MemoryError is no refusal: no fallback swallows it
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1 1 1\n1 1 2.0\n")
 
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(mio_mod, "_read_mtx", exhausted)
+        monkeypatch.setattr(mio_mod.np, "loadtxt", exhausted)
         with pytest.raises(OutOfMemoryError, match="m.mtx") as info:
             read_matrix(path)
         assert info.value.kind == "memory"
@@ -413,14 +412,10 @@ class TestTokenSyntax:
         assert got.data.tobytes() == want.data.tobytes()
 
 
-def _load(text, fmt="mtx"):
+def _load(text):
     """What the loadtxt path makes of `text`: a DataMatrix, or None where
-    it leaves the file to the token path (a refusal or a failed check)."""
-    load = mio_mod._load_mtx if fmt == "mtx" else mio_mod._load_csv
-    try:
-        return load(io.StringIO(text))
-    except ValueError:
-        return None
+    it leaves the file to the token path."""
+    return mio_mod._load_coordinates(io.StringIO(text))
 
 
 def _python_number(cast, token):
@@ -431,8 +426,8 @@ def _python_number(cast, token):
 
 
 class TestLoadtxtPath:
-    """The bodies that numpy's C reader takes, and the token path's
-    fallback for everything else."""
+    """The coordinate bodies that numpy's C reader takes, and the token
+    path's fallback for everything else."""
 
     def test_differential_against_int_and_float(self):
         rng = make_rng(21)
@@ -447,42 +442,85 @@ class TestLoadtxtPath:
             got = _load(MTX_COORD + "1 %d 1\n1 %s 1\n" % (2**62, token))
             if got is not None:  # Python takes it, as the same index
                 assert i is not None and got.indices.tolist() == [i - 1]
-            for text, fmt in ((MTX_ARRAY + "1 1\n%s\n" % token, "mtx"),
-                              ("%s\n" % token, "csv")):
-                got = _load(text, fmt)
-                if got is not None:  # Python takes it, with the same bits
-                    taken += 1
-                    assert x is not None and np.isfinite(x)
-                    assert (got.dense_view()[0, 0].tobytes()
-                            == np.float64(x).tobytes())
-        assert taken > 500
+            got = _load(MTX_COORD + "1 1 1\n1 1 %s\n" % token)
+            if got is not None:  # Python takes it, with the same bits
+                taken += 1
+                assert x is not None and np.isfinite(x)
+                assert got.data.tobytes() == np.float64(x).tobytes()
+        assert taken > 250
+
+    def test_random_values_read_bitwise_equal_to_float(self):
+        bits = make_rng(24).integers(0, 2 ** 64, size=20_000,
+                                     dtype=np.uint64)
+        values = bits.view(np.float64)
+        tokens = ["%.17g" % x for x in values[np.isfinite(values)].tolist()]
+        got = _load(MTX_COORD + "%d 1 %d\n" % (len(tokens), len(tokens))
+                    + "".join("%d 1 %s\n" % (k, t)
+                              for k, t in enumerate(tokens, 1)))
+        want = np.array([float(t) for t in tokens])
+        assert got.data.view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("text, want", [
-        (MTX_ARRAY + "2 1\n1_0\n2\n", [[10.0], [2.0]]),
-        (MTX_ARRAY + "2 1\n٣\n2\n", [[3.0], [2.0]]),
-        (MTX_ARRAY + "2 1\n1\n% c\n2\n", [[1.0], [2.0]]),
-        (MTX_ARRAY + "2 2\n1 2\n3\n4\n", [[1.0, 3.0], [2.0, 4.0]]),
-        (MTX_COORD + "2 2 2\n1 1 1_0\n% c\n2 2 2\n", [[10.0, 0.0],
-                                                       [0.0, 2.0]]),
-        (MTX_COORD + "2 2 1\n٢ 1 1\n", [[0.0, 0.0], [1.0, 0.0]]),
-        (MTX_COORD + "2 2 1\n9223372036854775808 1 1\n",
+        ("2 2 2\n1 1 1_0\n2 2 2\n", [[10.0, 0.0], [0.0, 2.0]]),
+        ("2 2 1\n1 1 ٣\n", [[3.0, 0.0], [0.0, 0.0]]),
+        ("2 2 1\n٢ 1 1\n", [[0.0, 0.0], [1.0, 0.0]]),
+        ("2 2 2\n1 1 1\n% c\n2 2 2\n", [[1.0, 0.0], [0.0, 2.0]]),
+        ("2 2 2\n1 1 1\n2 2 2 5\n", "line 4: expected 'i j value'"),
+        ("2 2 1\n1.0 1 2.0\n", "line 3: bad coordinate indices"),
+        ("2 2 1\n9223372036854775808 1 1\n",
          "line 3: index (9223372036854775808, 1) out of bounds"),
-        (MTX_COORD + "2 2 1\n1 1 1e400\n", "line 3: non-finite value '1e400'"),
-        ("1,2\n3,4_0\n", [[1.0, 2.0], [3.0, 40.0]]),
-    ], ids=["underscore", "arabic-digit", "comment", "ragged",
-            "coordinate-comment", "arabic-index", "index-past-int64",
-            "overflow-value", "csv-underscore"])
+        ("2 2 1\n1 1 1e400\n", "line 3: non-finite value '1e400'"),
+        ("2 2 2\n1 1 1\n1 1 2\n", "line 4: duplicate entry (1, 1)"),
+    ], ids=["underscore", "arabic-digit", "arabic-index", "comment",
+            "ragged", "float-index", "index-past-int64",
+            "overflow-value", "duplicate"])
     def test_fallback_gives_the_token_path_result(self, tmp_path, text,
                                                   want):
-        assert _load(text, "csv" if "," in text else "mtx") is None
-        path = tmp_path / ("m.csv" if "," in text else "m.mtx")
-        path.write_text(text)
+        assert _load(MTX_COORD + text) is None
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + text)
         if isinstance(want, str):
             with pytest.raises(ParseError) as err:
                 read_matrix(path)
             assert str(err.value) == want
         else:
             assert read_matrix(path).to_dense().tolist() == want
+
+    def test_a_loadtxt_warning_is_a_refusal(self, tmp_path, monkeypatch):
+        # a numpy that parses `1.0` as an index warns instead of refusing
+        def lenient(fh, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return np.array([(1, 1, 2.0)], dtype=dtype)
+
+        monkeypatch.setattr(mio_mod.np, "loadtxt", lenient)
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "2 2 1\n1.0 1 2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as outside the test suite
+            with pytest.raises(ParseError,
+                               match="^line 3: bad coordinate indices$"):
+                read_matrix(path)
+
+    def test_fallback_reads_the_file_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Counted(io.TextIOWrapper):
+            def read(self, *args):
+                calls.append(("read",) + args)
+                return super().read(*args)
+
+        def counted_open(path, mode="r", encoding=None):
+            calls.append(("open", path))
+            return Counted(open(path, "rb"), encoding=encoding)
+
+        monkeypatch.setattr(mio_mod, "open", counted_open, raising=False)
+        path = tmp_path / "m.mtx"  # refused by loadtxt: the token path
+        path.write_text(MTX_COORD + "2 2 2\n1 1 1_0\n2 2 2\n")
+        assert read_matrix(path).to_dense().tolist() == [[10.0, 0.0],
+                                                         [0.0, 2.0]]
+        assert calls == [("open", path), ("read",)]
 
     def test_lone_carriage_return_ends_a_line(self, tmp_path):
         # universal newlines, as the token path reads the text
@@ -552,6 +590,24 @@ class TestLoadtxtPath:
         for name, lines in want.items():
             write_matrix(sp if name == "s.mtx" else dense, tmp_path / name)
             assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", ["s.mtx", "d.mtx", "d.csv"])
+    def test_failed_chunk_leaves_no_file(self, tmp_path, monkeypatch, name):
+        def one_then_exhausted(n, step=mio_mod._CHUNK):
+            yield slice(0, 1)
+            raise MemoryError
+
+        monkeypatch.setattr(mio_mod, "_chunks", one_then_exhausted)
+        dense = np.arange(1.0, 7.0).reshape(2, 3)
+        matrix = DataMatrix.dense(dense)
+        if name == "s.mtx":
+            matrix = DataMatrix.from_coo(*np.nonzero(dense), dense.ravel(),
+                                         dense.shape)
+        path = tmp_path / name
+        path.write_text("an older file\n")
+        with pytest.raises(MemoryError):
+            write_matrix(matrix, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundtrips:
