@@ -9,13 +9,16 @@
 #   - a dense 60x40 `synth` matrix (rank 4, noise 0.01, seed 3), and its
 #     30%-density twin both as a dense array with zeros and in
 #     MatrixMarket coordinate format;
+#   - a copy of the coordinate file with a `%` comment line in its body,
+#     which the reader's loadtxt path refuses, and that copy read by the
+#     token path and written again by `convert --to mtx`;
 #   - W.mtx, H.mtx and summary.json of `factorize` for the nine methods x
 #     the six seedings the CLI takes (random_vcol, nndsvda, random,
 #     random_c, nndsvd, nndsvdar), at --rank 4 --max-iter 60 --scale-unit
 #     --track-error --master-seed 7, on all three inputs;
 #   - consensus_report.json/.csv of `rank-estimate --method nmf-kl
 #     --ranks 2..4 --runs 5 --master-seed 4` on all three inputs.
-# That is 495 files: 492 outputs and the three inputs.  Each file that
+# That is 497 files: 493 outputs and the four inputs.  Each file that
 # differs gets one line: the largest relative change over the numbers it
 # holds (by key in JSON, by position elsewhere), and for summary.json any
 # change of n_iter.  The script is not part of check.sh or CI, since some
@@ -62,6 +65,12 @@ run(*synth, "--density", "0.3", "--output", out + "/sparse_array.mtx")
 d = read_matrix(out + "/sparse_array.mtx").to_dense()
 r, c = np.nonzero(d)
 write_matrix(DataMatrix.from_coo(r, c, d[r, c], d.shape), out + "/coord.mtx")
+with open(out + "/coord.mtx") as fh:
+    lines = fh.readlines()
+with open(out + "/coord_comment.mtx", "w") as fh:
+    fh.writelines(lines[:3] + ["% a comment line in the body\n"] + lines[3:])
+run("convert", "--input", out + "/coord_comment.mtx", "--to", "mtx",
+    "--output", out + "/coord_comment_converted.mtx")
 
 for name in ("dense", "sparse_array", "coord"):
     data = "%s/%s.mtx" % (out, name)

@@ -33,6 +33,25 @@ from .errors import DomainError, OutOfMemoryError, ParamError, ShapeError
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _index_array(x) -> np.ndarray:
+    """`x` as a 1-d int64 array, refusing what a cast would truncate."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ParamError("index arrays must be 1-d arrays of integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def coo_order(i, j, rows, cols):
+    """(b, d, order) of 0-based indices: b is the first entry outside
+    [0, rows) x [0, cols); d the first before b that repeats an earlier
+    (i, j), else b; `order` sorts by (i, j), equal ones in input order."""
+    b = int(np.append((i < 0) | (i >= rows) | (j < 0) | (j >= cols),
+                      True).argmax())
+    order = np.lexsort((j, i))  # stable: of equal (i, j), input order
+    same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    return b, min(b, int(order[1:][same].min())) if same.any() else b, order
+
+
 class DataMatrix:
     """Immutable dense or CSR matrix.
 
@@ -67,49 +86,42 @@ class DataMatrix:
 
     @classmethod
     def csr(cls, indptr, indices, data, shape) -> "DataMatrix":
-        rows, cols = shape
-        indptr = np.array(indptr, dtype=np.int64, copy=True)
-        indices = np.array(indices, dtype=np.int64, copy=True)
-        data = np.array(data, dtype=np.float64, copy=True)
-        if indptr.ndim != 1 or indptr.shape[0] != rows + 1:
+        """Build through :meth:`from_coo`, refusing unsorted rows."""
+        rows = shape[0]
+        indptr, indices = _index_array(indptr), _index_array(indices)
+        if indptr.shape[0] != rows + 1:
             raise ParamError("csr: indptr must have length rows + 1")
-        if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
-            raise ParamError("csr: indptr must start at 0 and end at nnz")
-        if np.any(np.diff(indptr) < 0):
-            raise ParamError("csr: row pointers must be nondecreasing")
-        if indices.shape[0] != data.shape[0]:
-            raise ParamError("csr: indices and data length mismatch")
-        if indices.size and (indices.min() < 0 or indices.max() >= cols):
-            raise ParamError("csr: column index out of bounds")
-        entry_rows = np.repeat(np.arange(rows), np.diff(indptr))
-        bad = np.flatnonzero((np.diff(entry_rows) == 0)
-                             & (np.diff(indices) <= 0))
-        if bad.size:
-            raise ParamError(
-                "csr: column indices must be strictly increasing in row %d"
-                % entry_rows[bad[0]])
-        for buf in (indptr, indices, data):
-            buf.flags.writeable = False
-        return cls(rows, cols, indptr=indptr, indices=indices, data=data)
+        counts = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(counts < 0):
+            raise ParamError("csr: indptr must rise from 0 to nnz")
+        entry_rows = np.repeat(np.arange(rows), counts)
+        out = cls.from_coo(entry_rows, indices, data, shape)
+        moved = np.flatnonzero(out.indices != indices)
+        if moved.size:  # the first such entry lies in the first such row
+            raise ParamError("csr: column indices must be strictly "
+                             "increasing in row %d" % entry_rows[moved[0]])
+        return out
 
     @classmethod
     def from_coo(cls, rows_idx, cols_idx, values, shape) -> "DataMatrix":
-        """Build CSR from coordinate triplets; duplicates are rejected."""
+        """Build CSR from 0-based coordinate triplets in any order; an
+        entry out of bounds or a repeated (i, j) raises ParamError."""
         rows, cols = shape
-        rows_idx = np.asarray(rows_idx, dtype=np.int64)
-        cols_idx = np.asarray(cols_idx, dtype=np.int64)
+        rows_idx, cols_idx = _index_array(rows_idx), _index_array(cols_idx)
         values = np.asarray(values, dtype=np.float64)
-        order = np.lexsort((cols_idx, rows_idx))
-        ri, ci, vv = rows_idx[order], cols_idx[order], values[order]
-        if ri.size > 1:
-            same = (np.diff(ri) == 0) & (np.diff(ci) == 0)
-            if np.any(same):
-                raise ParamError("duplicate coordinate entry")
-        if ri.size and (ri[0] < 0 or ri[-1] >= rows):
-            raise ParamError("coordinate row index out of bounds")
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ri, minlength=rows), out=indptr[1:])
-        return cls.csr(indptr, ci, vv, (rows, cols))
+        if not rows_idx.shape == cols_idx.shape == values.shape:
+            raise ParamError("coordinate arrays must have one length")
+        b, d, order = coo_order(rows_idx, cols_idx, rows, cols)
+        if d < rows_idx.shape[0]:
+            raise ParamError("coordinate (%d, %d) %s" % (
+                rows_idx[d], cols_idx[d], "is out of bounds" if d == b
+                else "repeats an earlier entry"))
+        # bincount refuses 2**63 - 1 rows as "array is too big"
+        indptr = np.append(0, np.cumsum(np.bincount(rows_idx, minlength=rows)))
+        indices, data = cols_idx[order], values[order]
+        for buf in (indptr, indices, data):
+            buf.flags.writeable = False
+        return cls(rows, cols, indptr=indptr, indices=indices, data=data)
 
     def with_values(self, values) -> "DataMatrix":
         """This matrix's layout with new stored values, ordered as `values`.

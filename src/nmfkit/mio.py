@@ -11,8 +11,8 @@ syntax is a strict subset of int()'s and float()'s; a body that it
 refuses or warns on, or whose checks find a fault, goes to the token path
 (`_read_mtx`), which alone words errors.  `array` and CSV bodies take the
 token path (`_read_mtx`, `_read_csv`).  Both paths run the same checks
-(`_mtx_head`, `_coordinates`, `_nonfinite`).  The writer formats a bounded
-chunk of lines at a time and removes its file if a chunk fails.
+(`_mtx_head`, `_nonfinite`, `DataMatrix.from_coo`).  The writer formats a
+bounded chunk of lines at a time and removes its file if a chunk fails.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (IoError, ParamError, ParseError, ShapeError,
                      out_of_memory)
-from .matcore import DataMatrix, RngStream, as_matrix
+from .matcore import DataMatrix, RngStream, as_matrix, coo_order
 
 FORMATS = ("mtx", "csv")
 
@@ -74,22 +74,10 @@ def _numbers(tokens, dtype=np.float64):
                        else "%r is not a number") % (tokens[k],)
 
 
-def _coordinates(i, j, m, n):
-    """(b, d, order) of 1-based entry indices: b is the first entry outside
-    [1, m] x [1, n]; d the first before b that repeats an earlier (i, j),
-    else b; `order` sorts the entries before b by (i, j), equal ones in
-    file order."""
-    b = _first((i < 1) | (i > m) | (j < 1) | (j > n))
-    i, j = i[:b], j[:b]
-    order = np.lexsort((j, i))  # stable: of equal (i, j), file order
-    same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
-    return b, int(order[1:][same].min()) if same.any() else b, order
-
-
-def _csr(i, j, values, order, m, n):
-    """The CSR matrix of the checked entries (i, j, value) in `order`."""
-    indptr = np.searchsorted(i[order], np.arange(m + 1), side="right")
-    return DataMatrix.csr(indptr, j[order] - 1, values[order], (m, n))
+def _zero_based(index):
+    """1-based int64 indices made 0-based in place; -2**63 stays negative."""
+    np.maximum(index, 1 - 2**63, out=index)
+    return np.subtract(index, 1, out=index)
 
 
 def _mtx_head(lines):
@@ -160,22 +148,22 @@ def _read_mtx(lines):
         flat = " ; ".join(entries[:c]).split()
     fault = "expected 'i j value'" if c < len(entries) else None
     i, j = _numbers(flat[0::4], np.int64)[0], _numbers(flat[1::4], np.int64)[0]
-    i, j = i[:len(j)], j[:len(i)]
-    b, d, order = _coordinates(i, j, m, n)
-    if b < c:  # int() takes what overflows int64
+    i, j = _zero_based(i[:len(j)]), _zero_based(j[:len(i)])
+    b, d, _ = coo_order(i, j, m, n)
+    if d < c:  # int() takes what overflows int64
         try:
-            fault = "index (%d, %d) out of bounds" % tuple(
-                map(int, flat[4 * b:4 * b + 2]))
+            fault = ("duplicate entry (%d, %d)" if d < b else
+                     "index (%d, %d) out of bounds") % tuple(
+                         map(int, flat[4 * d:4 * d + 2]))
         except ValueError:
             fault = "bad coordinate indices"
-    fault = "duplicate entry (%d, %d)" % (i[d], j[d]) if d < b else fault
     values, v, bad_value = _numbers(flat[2::4])
     fault = bad_value if v < d else fault
     if fault:
         raise ParseError("line %d: %s" % (nos[min(v, d)], fault))
     if bad_size:
         raise bad_size
-    return _csr(i, j, values, order, m, n)
+    return DataMatrix.from_coo(i, j, values, (m, n))
 
 
 def _read_csv(lines):
@@ -225,13 +213,12 @@ def _load_coordinates(fh):
                               quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    i, j, values = body["i"], body["j"], body["x"]
-    m, n = sizes[:2]
-    _, d, order = _coordinates(i, j, m, n)
-    if (len(body) != sizes[2] or d < len(body)
-            or _nonfinite(values) < len(body)):
+    if len(body) != sizes[2] or _nonfinite(body["x"]) < len(body):
         return None
-    return _csr(i, j, values, order, m, n)
+    i, j = _zero_based(body["i"]), _zero_based(body["j"])
+    with contextlib.suppress(ParamError):  # a bad entry: the token path
+        return DataMatrix.from_coo(i, j, body["x"], sizes[:2])
+    return None
 
 
 def read_matrix(path, fmt: str | None = None) -> DataMatrix:

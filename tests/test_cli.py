@@ -73,10 +73,14 @@ class TestExitCodes:
         # passes the size-line check, but no row-pointer array has 2**60 + 1
         # entries; numpy refuses it with a ValueError, not a MemoryError
         ("1152921504606846976 2 0\n", "reading "),
+        # 2**63 - 1 rows need 2**63 row pointers: on the loadtxt path, and
+        # on the token path, which a `%` line in the body selects
+        ("9223372036854775807 2 1\n1 1 1\n", "reading "),
+        ("9223372036854775807 2 1\n% c\n1 1 1\n", "reading "),
         # reads, but random_vcol seeding samples a fifth of 2**60 columns
         ("2 1152921504606846976 1\n1 1 1\n", "running nmf-eu at rank 1 on a "
                                              "2x1152921504606846976 matrix"),
-    ], ids=["rows", "cols"])
+    ], ids=["rows", "int64-rows-loadtxt", "int64-rows-token-path", "cols"])
     def test_huge_size_line_is_one_memory_error_line(self, tmp_path, capsys,
                                                      body, doing):
         path = tmp_path / "huge.mtx"

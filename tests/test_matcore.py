@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,49 @@ class TestDataMatrix:
         np.testing.assert_array_equal(built.data, oracle.data)
         with pytest.raises(ParamError):
             DataMatrix.from_coo([0, 2], [0, 0], [1.0, 1.0], (2, 2))
+
+    @pytest.mark.parametrize("rows, cols, values", [
+        ([0], [0], [1.0, 2.0]),
+        ([0, 0], [0], [1.0, 2.0]),
+        ([0], [0], []),
+        ([0.7], [0], [1.0]),
+        ([0], [[0]], [1.0]),
+    ], ids=["extra-value", "unequal-indices", "short-values",
+            "fractional-index", "two-d-index"])
+    def test_from_coo_refuses_malformed_arrays(self, rows, cols, values):
+        with pytest.raises(ParamError):
+            DataMatrix.from_coo(rows, cols, values, (1, 1))
+
+    @pytest.mark.parametrize("indptr, indices", [([0, 1], [0.7]),
+                                                 ([0, 0.5], [])],
+                             ids=["fractional-index", "fractional-indptr"])
+    def test_csr_refuses_fractional_indices(self, indptr, indices):
+        with pytest.raises(ParamError):
+            DataMatrix.csr(indptr, indices, [1.0] * len(indices), (1, 1))
+
+    def test_from_coo_names_the_first_bad_entry(self):
+        with pytest.raises(ParamError, match=r"^coordinate \(1, 0\) "
+                           "repeats an earlier entry$"):
+            DataMatrix.from_coo([1, 1, 0, 1, 5], [0, 1, 0, 0, 0],
+                                [1.0] * 5, (2, 2))
+        with pytest.raises(ParamError,
+                           match=r"^coordinate \(2, 0\) is out of bounds$"):
+            DataMatrix.from_coo([1, 2, 1], [0, 0, 0], [1.0] * 3, (2, 2))
+
+    def test_from_coo_memory_is_bounded(self):
+        # the sorted arrays become the instance's own, with no second copy
+        rng = make_rng(31)
+        m, n, nnz = 2000, 1000, 40_000
+        flat = rng.choice(m * n, size=nnz, replace=False)
+        rows, cols, values = flat // n, flat % n, rng.uniform(size=nnz)
+        tracemalloc.start()
+        try:
+            built = DataMatrix.from_coo(rows, cols, values, (m, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.nnz == nnz
+        assert peak < 40 * nnz
 
     def test_model_input_contract(self):
         DataMatrix.dense([[0.0, 1.0]]).require_model_input()

@@ -554,6 +554,18 @@ class TestLoadtxtPath:
             "cannot read %s: 'utf-8' codec can't decode byte 0xff in "
             "position %d: invalid start byte" % (path, len(data) - 2))
 
+    @pytest.mark.parametrize("comment", ["", "% c\n"],
+                             ids=["loadtxt", "token-path"])
+    def test_least_int64_index_stays_out_of_bounds(self, tmp_path, comment):
+        # made 0-based, -2**63 must not wrap round to a column below 10**19
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX_COORD + "3 %d 1\n%s1 %d 1.0\n"
+                        % (10**19, comment, -2**63))
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == "line %d: index (1, %d) out of bounds" % (
+            4 if comment else 3, -2**63)
+
     def test_coordinate_read_memory_is_bounded(self, tmp_path):
         # 40k entries: about 13 MB of Python strings on the token path
         rng = make_rng(22)
