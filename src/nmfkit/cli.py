@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import NmfkitError, field_type, in_interval
 from .factor import METHODS, FactorConfig, ParamSet, factorize
 from .matcore import DataMatrix
-from .mio import read_matrix, synth, write_matrix, write_summary
+from .mio import read_matrix, synth, write_matrix, write_summary, write_text
 from .multirun import RankSweepConfig, rank_sweep
 from .quality import fit_summary
 from .seeding import SEED_METHOD_NAMES, SeedSpec
@@ -185,10 +185,10 @@ def cmd_rank_estimate(args) -> int:
                    "recommended_rank": report.recommended_rank,
                    "warnings": [str(w.message) for w in caught]},
                   outdir / "consensus_report.json")
-    with open(outdir / "consensus_report.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(records[0]) + "\n")  # RankRecord's field names
-        for rec in records:
-            fh.write(",".join("%.17g" % x for x in rec.values()) + "\n")
+    # RankRecord's field names, then one row per rank
+    rows = [records[0]] + [["%.17g" % x for x in r.values()] for r in records]
+    write_text(outdir / "consensus_report.csv",
+               (",".join(row) + "\n" for row in rows))
     print("Recommended rank: %d" % report.recommended_rank)
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
     print("rank-estimate finished in %d ms; outputs in %s"

@@ -5,9 +5,9 @@ matrix: products against dense factors, elementwise quotients on the stored
 pattern, norms and reductions.  Products (`matmul`), W H on V's pattern
 (`product_on`), V / (W H + EPS) in V's layout (`safe_divide_product`), the
 KL divergence of max(W H, EPS) from V (`kl_div`), the residual
-||V - W H||^2 (`residual_sq`), sums and norms have CSR kernels that never
-form an m x n array; this module is the one place that asks whether V is
-dense or CSR.
+||V - W H||^2 (`residual_sq`), the means of groups of V's columns or rows
+(`group_means`), sums and norms have CSR kernels that never form an m x n
+array; this module is the one place that asks whether V is dense or CSR.
 `dense_view` materializes (and caches) the dense array for the callers
 that still want one: NNDSVD seeding and array/CSV output.
 
@@ -41,12 +41,25 @@ def _index_array(x) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _dims(shape):
+    """(rows, cols) of `shape`: two integers of at least 1, else ShapeError."""
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
+            isinstance(x, Integral) and x >= 1 for x in shape)):
+        raise ShapeError("a matrix shape is two integers of at least 1 (one "
+                         "row and column), not %r" % (shape,))
+    return int(shape[0]), int(shape[1])
+
+
+def first_true(mask) -> int:
+    """The index of the first True of `mask`, else its length."""
+    return int(np.append(mask, True).argmax())
+
+
 def coo_order(i, j, rows, cols):
     """(b, d, order) of 0-based indices: b is the first entry outside
     [0, rows) x [0, cols); d the first before b that repeats an earlier
     (i, j), else b; `order` sorts by (i, j), equal ones in input order."""
-    b = int(np.append((i < 0) | (i >= rows) | (j < 0) | (j >= cols),
-                      True).argmax())
+    b = first_true((i < 0) | (i >= rows) | (j < 0) | (j >= cols))
     order = np.lexsort((j, i))  # stable: of equal (i, j), input order
     same = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
     return b, min(b, int(order[1:][same].min())) if same.any() else b, order
@@ -65,10 +78,7 @@ class DataMatrix:
 
     def __init__(self, rows, cols, indptr=None, indices=None, data=None,
                  dense_data=None):
-        if rows < 1 or cols < 1:
-            raise ShapeError("matrix must have at least one row and column")
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows, self.cols = _dims((rows, cols))
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -79,15 +89,13 @@ class DataMatrix:
     @classmethod
     def dense(cls, values) -> "DataMatrix":
         arr = np.array(values, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeError("dense matrix must be two-dimensional")
         arr.flags.writeable = False
-        return cls(arr.shape[0], arr.shape[1], dense_data=arr)
+        return cls(*_dims(arr.shape), dense_data=arr)
 
     @classmethod
     def csr(cls, indptr, indices, data, shape) -> "DataMatrix":
         """Build through :meth:`from_coo`, refusing unsorted rows."""
-        rows = shape[0]
+        rows, _ = _dims(shape)
         indptr, indices = _index_array(indptr), _index_array(indices)
         if indptr.shape[0] != rows + 1:
             raise ParamError("csr: indptr must have length rows + 1")
@@ -106,7 +114,7 @@ class DataMatrix:
     def from_coo(cls, rows_idx, cols_idx, values, shape) -> "DataMatrix":
         """Build CSR from 0-based coordinate triplets in any order; an
         entry out of bounds or a repeated (i, j) raises ParamError."""
-        rows, cols = shape
+        rows, cols = _dims(shape)
         rows_idx, cols_idx = _index_array(rows_idx), _index_array(cols_idx)
         values = np.asarray(values, dtype=np.float64)
         if not rows_idx.shape == cols_idx.shape == values.shape:
@@ -275,23 +283,41 @@ def matmul(a, b) -> np.ndarray:
     if _is_csr(a):
         # rows of A . B, formed as the columns of the n x m product B' A'
         pat = _pattern_of(a)
-        out = np.zeros((n, m))
-        if a.data.size:
-            terms = _gather(_dense_of(b).T, a.indices, 1, pat.scratch(n)[1])
-            terms *= a.data
-            out[:, pat.row_ids] = np.add.reduceat(terms, pat.row_starts,
-                                                  axis=1)
+        out = _segment_sums(_dense_of(b).T, a.indices, a.data, pat.row_ids,
+                            pat.row_starts, m, pat.scratch(n)[1])
         return np.ascontiguousarray(out.T)
     if _is_csr(b):
         pat = _pattern_of(b)
-        out = np.zeros((m, n))
-        if b.data.size:
-            terms = _gather(_dense_of(a), pat.col_rows, 1, pat.scratch(m)[1])
-            terms *= b.data[pat.by_col]
-            out[:, pat.col_ids] = np.add.reduceat(terms, pat.col_starts,
-                                                  axis=1)
-        return out
+        return _segment_sums(_dense_of(a), pat.col_rows, b.data[pat.by_col],
+                             pat.col_ids, pat.col_starts, n,
+                             pat.scratch(m)[1])
     return _dense_of(a) @ _dense_of(b)
+
+
+def _segment_sums(x, take, weights, ids, starts, width, buf) -> np.ndarray:
+    """The CSR product kernel: x's columns `take` (gathered into `buf`) times
+    `weights`, summed over runs from `starts`, as columns `ids` of width."""
+    out = np.zeros((x.shape[0], width))
+    if weights.size:
+        terms = _gather(x, take, 1, buf)
+        terms *= weights
+        out[:, ids] = np.add.reduceat(terms, starts, axis=1)
+    return out
+
+
+def group_means(v, picks, axis) -> np.ndarray:
+    """Means of V's columns (axis 1) or rows (axis 0) over each index set
+    in `picks`, as the columns of an m x k (or rows of a k x n) array.  A
+    CSR V is multiplied by a 0/(1/p) selection matrix and stays CSR."""
+    if v.is_sparse:
+        sel = np.zeros((v.shape[axis], len(picks)))
+        for j, idx in enumerate(picks):
+            sel[idx, j] = 1.0 / idx.size
+        return matmul(v, sel) if axis == 1 else matmul(sel.T, v)
+    vd = v.dense_view()
+    if axis == 1:
+        return np.stack([vd[:, idx].mean(axis=1) for idx in picks], axis=1)
+    return np.stack([vd[idx, :].mean(axis=0) for idx in picks])
 
 
 # -- elementwise -------------------------------------------------------------
@@ -430,36 +456,18 @@ def residual_sq(v, w, h, wh=None) -> float:
 
 # -- seeded randomness --------------------------------------------------------
 
-class RngStream:
-    """Deterministic random stream: PCG64 keyed by an unsigned seed.
-
-    A fixed seed reproduces the identical draw sequence on every platform
-    and across processes.  Streams are single-owner; concurrent work must
-    use independent streams (see :func:`derive_seed`).
+class RngStream(np.random.Generator):
+    """numpy's Generator on PCG64 keyed by SeedSequence(seed), for an
+    unsigned seed.  A fixed seed reproduces the identical draw sequence on
+    every platform and across processes, and an array of n draws holds the
+    same values as n scalar calls.  Streams are single-owner; concurrent
+    work must use independent streams (see :func:`derive_seed`).
     """
 
     def __init__(self, seed: int):
         if not isinstance(seed, Integral) or seed < 0:
             raise ParamError("rng seed must be a nonnegative integer")
-        self.seed = int(seed)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed)))
-
-    def uniform(self, size=None, low=0.0, high=1.0):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, size=None, loc=0.0, scale=1.0):
-        return self._gen.normal(loc, scale, size)
-
-    def gamma(self, shape_param: float, scale: float = 1.0, size=None):
-        return self._gen.gamma(shape_param, scale, size)
-
-    def random(self, size=None):
-        """Uniform draws on [0, 1): a float, or an array of shape size.
-
-        An array of n draws holds the same values as n scalar calls.
-        """
-        return self._gen.random(size)
+        super().__init__(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
     def choice_without_replacement(self, n: int, count: int) -> np.ndarray:
         """Sorted sample of `count` distinct indices from range(n).
@@ -470,7 +478,7 @@ class RngStream:
         if not 1 <= count <= n:
             raise ParamError("sample size %d out of range for %d items"
                              % (count, n))
-        return np.sort(self._gen.choice(n, size=count, replace=False))
+        return np.sort(self.choice(n, size=count, replace=False))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

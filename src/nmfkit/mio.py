@@ -11,8 +11,9 @@ syntax is a strict subset of int()'s and float()'s; a body that it
 refuses or warns on, or whose checks find a fault, goes to the token path
 (`_read_mtx`), which alone words errors.  `array` and CSV bodies take the
 token path (`_read_mtx`, `_read_csv`).  Both paths run the same checks
-(`_mtx_head`, `_nonfinite`, `DataMatrix.from_coo`).  The writer formats a
-bounded chunk of lines at a time and removes its file if a chunk fails.
+(`_mtx_head`, `_nonfinite`, `DataMatrix.from_coo`).  `write_matrix`
+formats a bounded chunk of lines at a time.  Every file goes through one
+writer (`write_text`), which removes its file if a write fails.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import (IoError, ParamError, ParseError, ShapeError,
                      out_of_memory)
-from .matcore import DataMatrix, RngStream, as_matrix, coo_order
+from .matcore import (DataMatrix, RngStream, as_matrix, coo_order,
+                      first_true)
 
 FORMATS = ("mtx", "csv")
 
@@ -47,14 +49,9 @@ def _infer_format(path, fmt):
                      % str(path))
 
 
-def _first(mask) -> int:
-    """The index of the first True of `mask`, else its length."""
-    return int(np.append(mask, True).argmax())
-
-
 def _nonfinite(values) -> int:
     """The index of the first value that is NaN or infinite, else len."""
-    return _first(~np.isfinite(values))
+    return first_true(~np.isfinite(values))
 
 
 def _numbers(tokens, dtype=np.float64):
@@ -144,7 +141,7 @@ def _read_mtx(lines):
     flat, c = " ; ".join(entries).split(), len(entries)
     if not (len(flat) == 4 * c - 1
             and flat.count(";") == flat[3::4].count(";") == c - 1):
-        c = _first([len(ln.split()) != 3 for ln in entries])
+        c = first_true([len(ln.split()) != 3 for ln in entries])
         flat = " ; ".join(entries[:c]).split()
     fault = "expected 'i j value'" if c < len(entries) else None
     i, j = _numbers(flat[0::4], np.int64)[0], _numbers(flat[1::4], np.int64)[0]
@@ -176,7 +173,7 @@ def _read_csv(lines):
         raise ParseError("CSV contains a header but no data rows")
     rows = [lines[no - 1] for no in nos]
     widths = np.array([ln.count(",") for ln in rows]) + 1
-    r = _first(widths != widths[0])
+    r = first_true(widths != widths[0])
     values, k, fault = _numbers(",".join(rows[:r]).split(","))
     if fault:
         raise ParseError("line %d: %s" % (nos[k // widths[0]], fault))
@@ -284,24 +281,8 @@ def write_matrix(matrix, path, fmt: str | None = None) -> None:
         chunks = (tuple(dense[c].ravel().tolist()) for c in
                   _chunks(matrix.rows, max(1, _CHUNK // matrix.cols)))
     per_line = line.count("%")
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc)) from exc
-    try:
-        with fh:
-            fh.write(head)
-            for flat in chunks:
-                fh.write((line * (len(flat) // per_line)) % flat)
-    except BaseException as exc:
-        # a failed or interrupted chunk leaves no partial file; a device
-        # or a link at `path` is left alone
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.unlink(path)
-        if isinstance(exc, OSError):
-            raise IoError("cannot write %s: %s" % (path, exc)) from exc
-        raise
+    write_text(path, itertools.chain([head], (
+        (line * (len(flat) // per_line)) % flat for flat in chunks)))
 
 
 def write_summary(payload: dict, path) -> None:
@@ -314,10 +295,26 @@ def write_summary(payload: dict, path) -> None:
         except ValueError:
             raise ParamError("summary field %r is not finite"
                              % (key,)) from None
+    text = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    write_text(path, itertools.chain(text, ["\n"]))
+
+
+def write_text(path, parts) -> None:
+    """Write the strings of `parts` to a new file at `path`, the writer of
+    every output file: a failed or interrupted write, while a part is formed
+    or written, leaves no partial file, and an OSError raises IoError."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                for text in parts:
+                    fh.write(text)
+        except BaseException:
+            # only a file this call opened; a device or a link is left alone
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
+            raise
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 

@@ -66,33 +66,44 @@ def distance(v, model: FactorModel, metric: str) -> float:
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 
+def _hoyer(x):
+    """`sparseness_vector`'s (score, fault): the kind of a degenerate x."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < 2:
+        return 0.0, "length-%d" % x.size
+    l2 = math.sqrt(frobenius_sq(x))
+    if l2 == 0.0:
+        return 0.0, "all-zero"
+    l1 = float(np.sum(np.abs(x)))
+    rt = math.sqrt(x.size)
+    return (rt - l1 / l2) / (rt - 1.0), None
+
+
 def sparseness_vector(x) -> float:
     """Hoyer sparseness (sqrt(n) - l1/l2) / (sqrt(n) - 1) in [0, 1].
 
     Defined for vectors of length >= 2; degenerate vectors (length one,
     or all zeros) score 0 with a warning so batch summaries stay total.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < 2:
-        warnings.warn("sparseness: length-%d vector scored as 0" % x.size)
-        return 0.0
-    l2 = math.sqrt(frobenius_sq(x))
-    if l2 == 0.0:
-        warnings.warn("sparseness: all-zero vector scored as 0")
-        return 0.0
-    l1 = float(np.sum(np.abs(x)))
-    rt = math.sqrt(x.size)
-    return (rt - l1 / l2) / (rt - 1.0)
+    score, fault = _hoyer(x)
+    if fault:
+        warnings.warn("sparseness: %s vector scored as 0" % fault)
+    return score
 
 
 def sparseness(model: FactorModel, axis: str = "columns"):
-    """Mean Hoyer sparseness of W and of H, aggregated over `axis`."""
+    """Mean Hoyer sparseness of W and of H, aggregated over `axis`.  A
+    factor with degenerate vectors warns once, with their count."""
     if axis not in ("columns", "rows"):
         raise MetricError("sparseness axis must be 'columns' or 'rows'")
-    def agg(mat):
-        vecs = mat.T if axis == "columns" else mat
-        return float(np.mean([sparseness_vector(row) for row in vecs]))
-    return agg(model.W), agg(model.H)
+    def agg(mat, name):
+        scores, faults = zip(*map(_hoyer, mat.T if axis == "columns" else mat))
+        bad = [f for f in faults if f]  # one kind: all short, or all-zero
+        if bad:
+            warnings.warn("sparseness: %d %s vectors of %s scored as 0"
+                          % (len(bad), bad[0], name))
+        return float(np.mean(scores))
+    return agg(model.W, "W"), agg(model.H, "H")
 
 
 def feature_scores(w) -> np.ndarray:

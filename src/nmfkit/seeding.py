@@ -18,7 +18,7 @@ import numpy as np
 
 from ._svd import jacobi_svd
 from .errors import ParamError, SeedError, setting
-from .matcore import RngStream, as_matrix, matmul
+from .matcore import RngStream, as_matrix, group_means
 
 # Stable identifiers accepted by the CLI and by SeedSpec.from_name.
 SEED_METHOD_NAMES = ("random", "fixed", "random_c", "random_vcol",
@@ -61,23 +61,6 @@ def seed_random(m, n, k, rng: RngStream, scale: float):
     return w, h
 
 
-def _centroids(v, picks, axis):
-    """Means of V's columns (axis 1) or rows (axis 0) over each index set
-    in `picks`, as the columns of an m x k (or rows of a k x n) array.
-
-    A CSR V is multiplied by a 0/(1/p) selection matrix and stays CSR.
-    """
-    if v.is_sparse:
-        sel = np.zeros((v.shape[axis], len(picks)))
-        for j, idx in enumerate(picks):
-            sel[idx, j] = 1.0 / idx.size
-        return matmul(v, sel) if axis == 1 else matmul(sel.T, v)
-    vd = v.dense_view()
-    if axis == 1:
-        return np.stack([vd[:, idx].mean(axis=1) for idx in picks], axis=1)
-    return np.stack([vd[idx, :].mean(axis=0) for idx in picks])
-
-
 def seed_random_c(v, k, p_cols, p_rows, fraction, rng: RngStream):
     """Random C: W's columns are means of `p_cols` columns of V, drawn
     without replacement from the ceil(fraction * n) columns of largest
@@ -99,11 +82,11 @@ def seed_random_c(v, k, p_cols, p_rows, fraction, rng: RngStream):
         if sq is not None:
             # a mean of squares over the other axis ranks as the norm does
             every = [np.arange(v.shape[1 - axis])]
-            mean_sq = _centroids(sq, every, 1 - axis).ravel()
+            mean_sq = group_means(sq, every, 1 - axis).ravel()
             pool = np.sort(np.argsort(-mean_sq, kind="stable")[:pool_size])
         picks = [pool[rng.choice_without_replacement(pool_size, p)]
                  for _ in range(k)]
-        factors.append(_centroids(v, picks, axis))
+        factors.append(group_means(v, picks, axis))
     return tuple(factors)
 
 

@@ -187,7 +187,8 @@ class TestSnmf:
     def test_beta_increases_h_sparseness(self):
         from nmfkit.quality import sparseness
         wins = 0
-        # a row of H that the penalty zeroes scores 0, with a warning
+        # the penalty zeroes rows of H and the columns of W they pair with;
+        # those columns score 0, with one warning per model
         with pytest.warns(UserWarning) as caught:
             for seed in range(10):
                 rng = make_rng(100 + seed)
@@ -204,7 +205,7 @@ class TestSnmf:
                 wins += results[1.0] > results[0.0]
         assert wins >= 8
         assert {str(w.message) for w in caught} \
-            == {"sparseness: all-zero vector scored as 0"}
+            == {"sparseness: 2 all-zero vectors of W scored as 0"}
 
     def test_bad_side(self):
         with pytest.raises(ParamError):

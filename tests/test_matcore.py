@@ -126,6 +126,19 @@ class TestDataMatrix:
         with pytest.raises(ParamError):
             DataMatrix.csr(indptr, indices, [1.0] * len(indices), (1, 1))
 
+    @pytest.mark.parametrize("shape", [
+        (-1, 2), (2, -1), (0, 2), (2.0, 2), (2, 2.5), (2,), (2, 2, 2), 2,
+        None], ids=["negative-rows", "negative-cols", "zero-rows",
+                    "float-rows", "fractional-cols", "one-tuple",
+                    "three-tuple", "int", "none"])
+    @pytest.mark.parametrize("build", ["from_coo", "csr"])
+    def test_bad_shape_is_shape_error(self, build, shape):
+        # checked first: (-1, 2) raised ValueError from bincount (from_coo)
+        # or IndexError (csr), a float TypeError, a 1-tuple ValueError
+        first = [] if build == "from_coo" else [0]
+        with pytest.raises(ShapeError, match="two integers of at least 1"):
+            getattr(DataMatrix, build)(first, [], [], shape)
+
     def test_from_coo_names_the_first_bad_entry(self):
         with pytest.raises(ParamError, match=r"^coordinate \(1, 0\) "
                            "repeats an earlier entry$"):
@@ -224,6 +237,7 @@ def csr_cases():
             ("row", sparsify(rng, 1, 7, 0.5)),
             ("column", sparsify(rng, 6, 1, 0.5)),
             ("zeros", np.zeros((5, 4))),
+            ("zero", np.zeros((1, 1))),
             ("full", rng.uniform(0.1, 1.0, size=(4, 6)))]
 
 
@@ -609,6 +623,20 @@ class TestRng:
                 capture_output=True, text=True, check=True).stdout)
         assert runs[0].count("\n") > 10
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_stream_is_numpys_generator(self, seed):
+        stream = RngStream(seed)
+        assert isinstance(stream, np.random.Generator)
+        numpy_gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed)))
+        def draws(gen):
+            return [gen.uniform(2.0, 3.0, size=5), gen.normal(1.0, 0.5, 5),
+                    gen.gamma(shape=2.5, scale=0.5, size=5),
+                    gen.random(size=5), gen.random()]
+
+        for got, want in zip(draws(stream), draws(numpy_gen)):
+            np.testing.assert_array_equal(got, want)
 
     def test_different_seeds_differ(self):
         a = RngStream(7).uniform(size=100)

@@ -603,11 +603,22 @@ class TestLoadtxtPath:
             write_matrix(sp if name == "s.mtx" else dense, tmp_path / name)
             assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("name", ["s.mtx", "d.mtx", "d.csv"])
+    @pytest.mark.parametrize("name", ["s.mtx", "d.mtx", "d.csv",
+                                      "summary.json"])
     def test_failed_chunk_leaves_no_file(self, tmp_path, monkeypatch, name):
         def one_then_exhausted(n, step=mio_mod._CHUNK):
             yield slice(0, 1)
             raise MemoryError
+
+        class FailsOnSecondPass(dict):
+            # the finiteness check reads the field once; the write fails
+            passes = 0
+
+            def items(self):
+                self.passes += 1
+                if self.passes > 1:
+                    raise MemoryError
+                return super().items()
 
         monkeypatch.setattr(mio_mod, "_chunks", one_then_exhausted)
         dense = np.arange(1.0, 7.0).reshape(2, 3)
@@ -618,7 +629,10 @@ class TestLoadtxtPath:
         path = tmp_path / name
         path.write_text("an older file\n")
         with pytest.raises(MemoryError):
-            write_matrix(matrix, path)
+            if name == "summary.json":
+                write_summary({"a": 1, "b": FailsOnSecondPass(c=2)}, path)
+            else:
+                write_matrix(matrix, path)
         assert list(tmp_path.iterdir()) == []
 
 

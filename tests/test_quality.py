@@ -103,6 +103,19 @@ class TestSparseness:
             assert sparseness_vector([0.0, 0.0]) == 0.0
         assert len(caught) == 1
 
+    @pytest.mark.parametrize("w, h, message", [
+        (np.ones((30, 1)), np.ones((1, 20)),
+         "sparseness: 20 length-1 vectors of H scored as 0"),
+        (np.eye(5, 3) @ np.diag([1.0, 0.0, 0.0]), np.ones((3, 4)),
+         "sparseness: 2 all-zero vectors of W scored as 0")],
+        ids=["rank-1", "zero-columns"])
+    def test_degenerate_vectors_warn_once_per_factor(self, w, h, message):
+        # one warning per degenerate vector put 20 copies into summary.json
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sparseness(model_of(w, h))
+        assert [str(x.message) for x in caught] == [message]
+
     def test_model_aggregation_in_range(self):
         rng = make_rng(4)
         m = model_of(rng.uniform(size=(6, 3)), rng.uniform(size=(3, 7)))
