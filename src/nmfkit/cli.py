@@ -185,9 +185,8 @@ def cmd_rank_estimate(args) -> int:
                    "recommended_rank": report.recommended_rank,
                    "warnings": [str(w.message) for w in caught]},
                   outdir / "consensus_report.json")
-    # RankRecord's field names, then one row per rank
     rows = [records[0]] + [["%.17g" % x for x in r.values()] for r in records]
-    write_text(outdir / "consensus_report.csv",
+    write_text(outdir / "consensus_report.csv",  # field names, then ranks
                (",".join(row) + "\n" for row in rows))
     print("Recommended rank: %d" % report.recommended_rank)
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))

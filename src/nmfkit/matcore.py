@@ -22,6 +22,7 @@ its gemm can differ in its last bits between BLAS thread counts.
 
 from __future__ import annotations
 
+import operator
 import threading
 from numbers import Integral
 
@@ -43,11 +44,14 @@ def _index_array(x) -> np.ndarray:
 
 def _dims(shape):
     """(rows, cols) of `shape`: two integers of at least 1, else ShapeError."""
-    if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
-            isinstance(x, Integral) and x >= 1 for x in shape)):
+    try:  # operator.index: an Integral check is slow here, on a hot path
+        rows, cols = map(operator.index, shape)
+    except (TypeError, ValueError):
+        rows = cols = 0
+    if rows < 1 or cols < 1:
         raise ShapeError("a matrix shape is two integers of at least 1 (one "
                          "row and column), not %r" % (shape,))
-    return int(shape[0]), int(shape[1])
+    return rows, cols
 
 
 def first_true(mask) -> int:

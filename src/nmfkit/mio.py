@@ -11,7 +11,7 @@ syntax is a strict subset of int()'s and float()'s; a body that it
 refuses or warns on, or whose checks find a fault, goes to the token path
 (`_read_mtx`), which alone words errors.  `array` and CSV bodies take the
 token path (`_read_mtx`, `_read_csv`).  Both paths run the same checks
-(`_mtx_head`, `_nonfinite`, `DataMatrix.from_coo`).  `write_matrix`
+(`_mtx_head`, every value finite, `DataMatrix.from_coo`).  `write_matrix`
 formats a bounded chunk of lines at a time.  Every file goes through one
 writer (`write_text`), which removes its file if a write fails.
 """
@@ -49,11 +49,6 @@ def _infer_format(path, fmt):
                      % str(path))
 
 
-def _nonfinite(values) -> int:
-    """The index of the first value that is NaN or infinite, else len."""
-    return first_true(~np.isfinite(values))
-
-
 def _numbers(tokens, dtype=np.float64):
     """(values, k, fault): `tokens` as `dtype` up to the first that is no
     int()/float() number in range; k, fault: first non-finite, else len."""
@@ -64,7 +59,7 @@ def _numbers(tokens, dtype=np.float64):
         values = _numbers(tokens[:half], dtype)[0]
         if len(values) == half > 0:  # not in the first half
             values = np.append(values, _numbers(tokens[half:], dtype)[0])
-    k = _nonfinite(values)
+    k = first_true(~np.isfinite(values))
     if k == len(tokens):
         return values, k, None
     return values, k, ("non-finite value %r" if k < len(values)
@@ -210,7 +205,7 @@ def _load_coordinates(fh):
                               quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if len(body) != sizes[2] or _nonfinite(body["x"]) < len(body):
+    if len(body) != sizes[2] or not np.isfinite(body["x"]).all():
         return None
     i, j = _zero_based(body["i"]), _zero_based(body["j"])
     with contextlib.suppress(ParamError):  # a bad entry: the token path
