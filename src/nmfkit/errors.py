@@ -1,12 +1,13 @@
-"""Exception hierarchy shared by all nmfkit modules, and the settings check.
+"""Exception hierarchy shared by all nmfkit modules, and the input rules.
 
 Every error carries a stable ``kind`` label so callers (and the CLI exit
 logic) can dispatch without parsing messages.
 """
 
+import operator
 from contextlib import contextmanager
 from dataclasses import MISSING, field, fields
-from numbers import Integral, Real
+from numbers import Real
 
 
 class NmfkitError(Exception):
@@ -75,6 +76,15 @@ def out_of_memory(doing: str):
         raise OutOfMemoryError("out of memory " + doing) from exc
 
 
+def integer(x):
+    """`x` as an int if it is an integer other than a bool (a numpy integer
+    too), else None: the one test of every size, count, rank and seed."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
 def setting(interval: str, default=MISSING):
     """A dataclass field that `check_settings` keeps in `interval`."""
     return field(default=default, metadata={"range": interval})
@@ -108,7 +118,8 @@ def check_settings(record, prefix=""):
         cast, none_ok = field_type(f)
         if interval is None or (x is None and none_ok):
             continue
-        if not isinstance(x, Integral if cast is int else Real):
+        if not (integer(x) is not None if cast is int
+                else isinstance(x, Real) and not isinstance(x, bool)):
             raise ParamError("%s%s must be of type %s%s, got %r" % (
                 prefix, f.name, cast.__name__, " | None" * none_ok, x))
         if not in_interval(x, interval):

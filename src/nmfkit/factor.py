@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (DomainError, MethodError, ParamError, RankError,
-                     check_settings, out_of_memory, setting)
+                     check_settings, integer, out_of_memory, setting)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
                       matmul, product_on, residual_sq, safe_divide,
                       safe_divide_product)
@@ -409,42 +408,25 @@ def icm_step(v, w, h, sigma2, priors: ParamSet):
     return _conditional_sweeps(v, w, h, sigma2, priors, None)
 
 
-# -- stopping -------------------------------------------------------------------
-
-
-def connectivity_stop(h_now, prev_assignments, unchanged_count, conn_change):
-    """Track cluster assignments of H's columns for the connectivity rule.
-
-    Returns (stop, assignments, count).  The count increments while the
-    argmax row of every column stays put and resets on any change; stop
-    fires once it reaches conn_change.
-    """
-    assign = np.argmax(h_now, axis=0)  # ties resolve to the lowest row
-    if prev_assignments is not None and np.array_equal(assign, prev_assignments):
-        count = unchanged_count + 1
-    else:
-        count = 0
-    return count >= conn_change, assign, count
-
-
 # -- the driver -------------------------------------------------------------------
 
 
 def factorize(v, config: FactorConfig):
     """Seed, iterate until a stopping rule fires, and package the result.
 
-    Stopping: max_iter; relative objective improvement below
+    The stopping rules, tested in this order in one block after each
+    iteration: min_delta, the relative objective improvement fell below
     min_residual_delta (not tested on a bmf iteration whose lambda differs
     from the previous one's, nor on an lsnmf/snmf iteration that left W and
-    H unchanged to tighten its subproblem tolerances); or the column-cluster
-    assignment of H unchanged for conn_change consecutive iterations (when
-    conn_change > 0).
-    The Gibbs sampler ignores the two early-stopping rules and always runs
-    max_iter sweeps, since its objective trace is stochastic rather than
-    descending.  A negative or non-finite V raises DomainError, a rank that
-    is not an integer in [1, min(m, n)] RankError, a setting of the wrong
-    type or outside its range ParamError (`check_settings`), running out of
-    memory OutOfMemoryError.
+    H unchanged to tighten its subproblem tolerances); connectivity, the
+    argmax row of every column of H (ties to the lowest row) stayed put for
+    conn_change iterations in a row (when conn_change > 0); else the loop
+    ends at max_iter.  The Gibbs sampler (bd), whose objective trace is
+    stochastic, always runs max_iter sweeps.  A negative or non-finite V
+    raises DomainError, a rank that is not an integer (`errors.integer`) in
+    [1, min(m, n)] RankError, a setting of the wrong type or outside its
+    range ParamError (`check_settings`), running out of memory
+    OutOfMemoryError.
     """
     v = as_matrix(v)
     v.require_model_input("V")
@@ -453,8 +435,7 @@ def factorize(v, config: FactorConfig):
         raise MethodError("unknown method %r (expected one of %s)"
                           % (method, ", ".join(METHODS)))
     m, n = v.shape
-    if not (isinstance(config.rank, Integral)
-            and 1 <= config.rank <= min(m, n)):
+    if not 1 <= (integer(config.rank) or 0) <= min(m, n):
         raise RankError("rank %r out of range [1, %d]"
                         % (config.rank, min(m, n)))
     check_settings(config)
@@ -505,8 +486,7 @@ def _run(v, config: FactorConfig, eta: float):
     obj_prev = current_objective(0)
     trace_obj = []
     snapshots = [] if config.track_factors else None
-    assign = np.argmax(h, axis=0)
-    conn_count = 0
+    assign, conn_count = np.argmax(h, axis=0), 0
 
     for it in range(1, config.max_iter + 1):
         tols = (state.tol_h, state.tol_w) if state is not None else None
@@ -539,24 +519,26 @@ def _run(v, config: FactorConfig, eta: float):
         if config.track_factors and it % config.track_factors == 0:
             snapshots.append((it, w.copy(), h.copy()))
 
-        # across a bmf penalty step the two objectives use different lambdas
+        # the stop block (the rules of `factorize`); bd runs every sweep
+        if method == "bd":
+            continue
+        # min_delta, unless the two objectives use different bmf lambdas or
+        # both lsnmf/snmf subproblems met their tolerance at the start point
         lam_step = method == "bmf" and it > 1 and lam_of(it) != lam_of(it - 1)
-        # an lsnmf/snmf alternation whose two subproblems both met their
-        # tolerance at the start point returns W and H unchanged and only
-        # tightens the tolerances
         idle = (tols is not None and state.tol_h < tols[0]
                 and state.tol_w < tols[1])
-        if method != "bd":
-            if config.min_residual_delta > 0 and not (lam_step or idle):
-                rel = (obj_prev - obj) / max(abs(obj_prev), 1e-300)
-                if rel < config.min_residual_delta:
-                    break
-            if config.conn_change > 0:
-                stop, assign, conn_count = connectivity_stop(
-                    h, assign, conn_count, config.conn_change)
-                if stop:
-                    break
+        if (config.min_residual_delta > 0 and not (lam_step or idle)
+                and (obj_prev - obj) / max(abs(obj_prev), 1e-300)
+                < config.min_residual_delta):
+            break
         obj_prev = obj
+        # connectivity: np.argmax takes the lowest of tied rows
+        if config.conn_change > 0:
+            now = np.argmax(h, axis=0)
+            conn_count = conn_count + 1 if np.array_equal(now, assign) else 0
+            assign = now
+            if conn_count >= config.conn_change:
+                break
 
     if samples > 0:
         w, h = w_sum / samples, h_sum / samples

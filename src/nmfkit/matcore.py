@@ -22,13 +22,12 @@ its gemm can differ in its last bits between BLAS thread counts.
 
 from __future__ import annotations
 
-import operator
 import threading
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, OutOfMemoryError, ParamError, ShapeError
+from .errors import (DomainError, OutOfMemoryError, ParamError, ShapeError,
+                     integer)
 
 # Machine epsilon of float64, the default stabilizer for denominators.
 EPS = float(np.finfo(np.float64).eps)
@@ -44,14 +43,14 @@ def _index_array(x) -> np.ndarray:
 
 def _dims(shape):
     """(rows, cols) of `shape`: two integers of at least 1, else ShapeError."""
-    try:  # operator.index: an Integral check is slow here, on a hot path
-        rows, cols = map(operator.index, shape)
+    try:
+        rows, cols = map(integer, shape)
+        if rows >= 1 and cols >= 1:  # None >= 1 raises TypeError
+            return rows, cols
     except (TypeError, ValueError):
-        rows = cols = 0
-    if rows < 1 or cols < 1:
-        raise ShapeError("a matrix shape is two integers of at least 1 (one "
-                         "row and column), not %r" % (shape,))
-    return rows, cols
+        pass
+    raise ShapeError("a matrix shape is two integers of at least 1 (one "
+                     "row and column), not %r" % (shape,))
 
 
 def first_true(mask) -> int:
@@ -72,9 +71,10 @@ def coo_order(i, j, rows, cols):
 class DataMatrix:
     """Immutable dense or CSR matrix.
 
-    Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`, or
-    :meth:`with_values` for new values in an existing layout.  The instance
-    owns its buffers; they are marked read-only after validation.
+    Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`, which
+    check the shape (`_dims`), or :meth:`with_values` for new values in an
+    existing layout.  The instance owns its buffers; they are marked
+    read-only after validation.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data",
@@ -82,7 +82,7 @@ class DataMatrix:
 
     def __init__(self, rows, cols, indptr=None, indices=None, data=None,
                  dense_data=None):
-        self.rows, self.cols = _dims((rows, cols))
+        self.rows, self.cols = rows, cols
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -469,9 +469,10 @@ class RngStream(np.random.Generator):
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, Integral) or seed < 0:
+        seed = integer(seed)
+        if seed is None or seed < 0:
             raise ParamError("rng seed must be a nonnegative integer")
-        super().__init__(np.random.PCG64(np.random.SeedSequence(int(seed))))
+        super().__init__(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def choice_without_replacement(self, n: int, count: int) -> np.ndarray:
         """Sorted sample of `count` distinct indices from range(n).
@@ -493,8 +494,8 @@ def derive_seed(master_seed: int, *key: int) -> int:
     yields the same derived seed.  An entry that is not a nonnegative
     integer raises ParamError.
     """
-    if not all(isinstance(x, Integral) and x >= 0
-               for x in (master_seed,) + key):
+    entries = [integer(x) for x in (master_seed,) + key]
+    if None in entries or min(entries) < 0:
         raise ParamError("master seed and keys must be nonnegative integers")
-    ss = np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
+    ss = np.random.SeedSequence(entries)
     return int(ss.generate_state(1, np.uint64)[0])

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (IoError, ParamError, ParseError, ShapeError,
+from .errors import (IoError, ParamError, ParseError, ShapeError, integer,
                      out_of_memory)
 from .matcore import (DataMatrix, RngStream, as_matrix, coo_order,
                       first_true)
@@ -325,8 +325,10 @@ def synth(m: int, n: int, k_true: int, noise_sigma: float = 0.0,
     noise is added before clipping at zero, then entries below the
     (1 - density) quantile are zeroed.  Returns (V, W_true, H_true).
     """
-    if not 1 <= k_true <= min(m, n):
-        raise ParamError("k_true %d out of range [1, %d]" % (k_true, min(m, n)))
+    if not 1 <= (integer(k_true) or 0) <= min(integer(m) or 0,
+                                             integer(n) or 0):
+        raise ParamError("synth needs integers m, n >= k_true >= 1, got "
+                         "m=%r, n=%r, k_true=%r" % (m, n, k_true))
     if not 0 < density <= 1:
         raise ParamError("density must lie in (0, 1]")
     if not 0 <= noise_sigma < math.inf:

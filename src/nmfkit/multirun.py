@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import (ParamError, RankError, check_settings, out_of_memory,
-                     setting)
+from .errors import (ParamError, RankError, check_settings, integer,
+                     out_of_memory, setting)
 from .factor import FactorConfig, factorize
 from .matcore import as_matrix, derive_seed
 from .quality import _evar_of_rss, consensus, cophenetic, dispersion, rss
@@ -53,7 +52,7 @@ def run_many(v, config: FactorConfig, runs: int, master_seed: int,
     must be 1.  A failing run aborts the whole batch with its error;
     silently skipped runs would bias the consensus.
     """
-    if not (isinstance(runs, Integral) and runs >= 1):
+    if (integer(runs) or 0) < 1:
         raise ParamError("run count must be an integer >= 1, got %r" % (runs,))
     if threads != 1:
         raise ParamError("runs execute serially; threads must be 1")
@@ -73,10 +72,10 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
     """
     v = as_matrix(v)
     m, n = v.shape
-    ranks = set(sweep.ranks)
-    if not all(isinstance(r, Integral) for r in ranks):
+    ranks = [integer(r) for r in sweep.ranks]  # each, before set() merges
+    if None in ranks:                           # 2 and 2.0 or True and 1
         raise RankError("candidate ranks must be integers: %r" % (sweep.ranks,))
-    ranks = sorted(int(r) for r in ranks)  # a numpy integer as an int
+    ranks = sorted(set(ranks))
     if not ranks:
         raise RankError("rank sweep needs at least one candidate rank")
     for r in ranks:

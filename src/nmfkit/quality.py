@@ -66,17 +66,19 @@ def distance(v, model: FactorModel, metric: str) -> float:
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 
-def _hoyer(x):
-    """`sparseness_vector`'s (score, fault): the kind of a degenerate x."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < 2:
-        return 0.0, "length-%d" % x.size
-    l2 = math.sqrt(frobenius_sq(x))
-    if l2 == 0.0:
-        return 0.0, "all-zero"
-    l1 = float(np.sum(np.abs(x)))
-    rt = math.sqrt(x.size)
-    return (rt - l1 / l2) / (rt - 1.0), None
+def _hoyer(rows):
+    """(Hoyer scores, degenerate kind, degenerate count) of the rows of a
+    2-d array, each row reduced in the order of a contiguous 1-d vector."""
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    count, size = x.shape
+    if size < 2:
+        return np.zeros(count), "length-%d" % size, count
+    l2 = np.sqrt(np.einsum("ij,ij->i", x, x))
+    zero = l2 == 0.0
+    rt = math.sqrt(size)
+    scores = (rt - abs(x).sum(axis=1) / np.where(zero, 1.0, l2)) / (rt - 1.0)
+    scores[zero] = 0.0
+    return scores, "all-zero", int(zero.sum())
 
 
 def sparseness_vector(x) -> float:
@@ -85,10 +87,10 @@ def sparseness_vector(x) -> float:
     Defined for vectors of length >= 2; degenerate vectors (length one,
     or all zeros) score 0 with a warning so batch summaries stay total.
     """
-    score, fault = _hoyer(x)
-    if fault:
+    (score,), fault, bad = _hoyer(np.reshape(x, (1, -1)))
+    if bad:
         warnings.warn("sparseness: %s vector scored as 0" % fault)
-    return score
+    return float(score)
 
 
 def sparseness(model: FactorModel, axis: str = "columns"):
@@ -97,11 +99,10 @@ def sparseness(model: FactorModel, axis: str = "columns"):
     if axis not in ("columns", "rows"):
         raise MetricError("sparseness axis must be 'columns' or 'rows'")
     def agg(mat, name):
-        scores, faults = zip(*map(_hoyer, mat.T if axis == "columns" else mat))
-        bad = [f for f in faults if f]  # one kind: all short, or all-zero
+        scores, fault, bad = _hoyer(mat.T if axis == "columns" else mat)
         if bad:
             warnings.warn("sparseness: %d %s vectors of %s scored as 0"
-                          % (len(bad), bad[0], name))
+                          % (bad, fault, name))
         return float(np.mean(scores))
     return agg(model.W, "W"), agg(model.H, "H")
 

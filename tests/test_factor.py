@@ -10,7 +10,7 @@ from nmfkit.errors import (DomainError, MethodError, OutOfMemoryError,
                            ParamError, RankError)
 from nmfkit.factor import (METHODS, AlternatingState, FactorConfig,
                            FactorModel, ParamSet, bd_gibbs_step, bmf_iterate,
-                           bmf_objective, connectivity_stop, factorize,
+                           bmf_objective, factorize,
                            icm_step, lsnmf_iterate, mu_eu_step, mu_kl_step,
                            nsnmf_iterate, nsnmf_smoothing, objective,
                            reconstruct, sample_rectified_normal, snmf_iterate,
@@ -364,28 +364,47 @@ class TestObjective:
             objective(np.ones((1, 1)), model, "cosine")
 
 
-class TestConnectivityStop:
-    def test_counter_reaches_window(self):
-        h = np.array([[0.9, 0.1], [0.1, 0.9]])
-        _, assign, count = connectivity_stop(h, None, 0, 30)
-        stop = False
-        for _ in range(30):
-            stop, assign, count = connectivity_stop(h, assign, count, 30)
-        assert stop and count == 30
+def connectivity_config(w0, h0, conn_change, **settings):
+    # min-delta off, so only the connectivity rule or max_iter stops
+    return FactorConfig(method="nmf-eu", rank=w0.shape[1],
+                        seed=SeedSpec(kind="fixed", w0=w0, h0=h0),
+                        min_residual_delta=0.0, conn_change=conn_change,
+                        **settings)
 
-    def test_change_resets_counter(self):
-        h1 = np.array([[0.9, 0.1], [0.1, 0.9]])
-        h2 = np.array([[0.1, 0.9], [0.9, 0.1]])
-        _, assign, count = connectivity_stop(h1, None, 0, 30)
-        _, assign, count = connectivity_stop(h1, assign, count, 30)
-        assert count == 1
-        _, assign, count = connectivity_stop(h2, assign, count, 30)
-        assert count == 0
+
+class TestConnectivityStop:
+    def test_count_reaches_conn_change(self):
+        # at an exact fixed point no column of H changes its argmax row, so
+        # the count is the iteration number and the run stops at 7
+        v, w0, h0 = exact_instance(make_rng(23))
+        model, _ = factorize(v, connectivity_config(w0, h0, 7))
+        assert model.n_iter == 7
+
+    def test_change_resets_count(self):
+        rng = make_rng(37)
+        v = random_nonneg(rng, 10, 8)
+        w0 = rng.uniform(0.1, 1, (10, 3))
+        h0 = rng.uniform(0.1, 1, (3, 8))
+        _, trace = factorize(v, connectivity_config(
+            w0, h0, 0, max_iter=40, track_factors=1))
+        hs = [h0] + [h for _, _, h in trace.factor_snapshots]
+        moved = [it for it in range(1, 41) if not np.array_equal(
+            np.argmax(hs[it], axis=0), np.argmax(hs[it - 1], axis=0))]
+        assert moved == [4, 5]
+        # the count reaches 3, is 0 after the moves at 4 and 5, then 5 at 10
+        model, _ = factorize(v, connectivity_config(w0, h0, 5, max_iter=40))
+        assert model.n_iter == 10
 
     def test_tie_assigns_lowest_row(self):
-        h = np.array([[0.5, 0.2], [0.5, 0.8]])
-        _, assign, _ = connectivity_stop(h, None, 0, 1)
-        assert assign[0] == 0 and assign[1] == 1
+        # H's first column ties at the seed, then row 0 leads: the lowest
+        # row was the seed's assignment, so nothing moved at iteration 1
+        v = np.array([[2.0, 0.0], [1.0, 1.0]])
+        h0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        model, trace = factorize(v, connectivity_config(
+            np.eye(2), h0, 3, track_factors=1))
+        np.testing.assert_array_equal(
+            np.argmax(trace.factor_snapshots[0][2], axis=0), [0, 1])
+        assert model.n_iter == 3
 
 
 class TestFactorize:
@@ -425,9 +444,10 @@ class TestFactorize:
         with pytest.raises(RankError):
             factorize(np.ones((3, 4)), FactorConfig(method="nmf-eu", rank=4))
 
-    @pytest.mark.parametrize("rank", [2.5, "2"])
+    @pytest.mark.parametrize("rank", [2.5, "2", True])
     def test_rank_must_be_an_integer(self, rank):
-        # a TypeError at the parent, from the seeding or the range test
+        # a TypeError at the parent, from the seeding or the range test;
+        # True ran as rank 1
         with pytest.raises(RankError, match="^rank .* out of range"):
             factorize(np.ones((3, 3)), FactorConfig(method="nmf-eu",
                                                     rank=rank))
@@ -478,7 +498,13 @@ class TestFactorize:
         # records of the wrong type: an AttributeError at the parent
         ({"seed": "random"}, "^seed must be of type SeedSpec, got 'random'$"),
         ({"params": {"theta": 0.3}},
-         r"^params must be of type ParamSet, got \{'theta': 0.3\}$")])
+         r"^params must be of type ParamSet, got \{'theta': 0.3\}$"),
+        # a bool ran as 1
+        ({"max_iter": True}, "^max_iter must be of type int, got True$"),
+        ({"track_factors": True},
+         "^track_factors must be of type int, got True$"),
+        ({"params": ParamSet(theta=True)},
+         "^method parameter theta must be of type float, got True$")])
     def test_setting_of_the_wrong_type(self, settings, message):
         cfg = FactorConfig(method="nmf-eu", rank=1, **settings)
         with pytest.raises(ParamError, match=message):
@@ -494,16 +520,18 @@ class TestFactorize:
             if f.type.split(" | ")[0] in ("int", "float"):
                 assert ("range" in f.metadata) != (f.name in unchecked), f.name
 
-    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3"])
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3", True])
     def test_master_seed_must_be_an_integer(self, seed):
-        # 1.5 ran as seed 1; NaN raised ValueError and "3" TypeError
+        # 1.5 and True ran as seed 1; NaN raised ValueError and "3"
+        # TypeError
         cfg = FactorConfig(method="nmf-eu", rank=1, master_seed=seed)
         with pytest.raises(ParamError, match="seed"):
             factorize(np.ones((3, 3)), cfg)
 
     def test_integral_and_optional_settings_accepted(self):
         # numpy integers are integral; eta and burn_in may be None
-        cfg = FactorConfig(method="nmf-eu", rank=1, max_iter=np.int64(3),
+        cfg = FactorConfig(method="nmf-eu", rank=np.int64(2),
+                           max_iter=np.int64(3), master_seed=np.uint8(4),
                            params=ParamSet(eta=None, burn_in=None, theta=1))
         assert factorize(np.ones((3, 3)), cfg)[0].n_iter <= 3
 

@@ -128,13 +128,14 @@ class TestDataMatrix:
 
     @pytest.mark.parametrize("shape", [
         (-1, 2), (2, -1), (0, 2), (2.0, 2), (2, 2.5), (2,), (2, 2, 2), 2,
-        None], ids=["negative-rows", "negative-cols", "zero-rows",
-                    "float-rows", "fractional-cols", "one-tuple",
-                    "three-tuple", "int", "none"])
+        None, (True, 2)], ids=["negative-rows", "negative-cols", "zero-rows",
+                               "float-rows", "fractional-cols", "one-tuple",
+                               "three-tuple", "int", "none", "bool-rows"])
     @pytest.mark.parametrize("build", ["from_coo", "csr"])
     def test_bad_shape_is_shape_error(self, build, shape):
         # checked first: (-1, 2) raised ValueError from bincount (from_coo)
-        # or IndexError (csr), a float TypeError, a 1-tuple ValueError
+        # or IndexError (csr), a float TypeError, a 1-tuple ValueError;
+        # (True, 2) built a 1x2 matrix
         first = [] if build == "from_coo" else [0]
         with pytest.raises(ShapeError, match="two integers of at least 1"):
             getattr(DataMatrix, build)(first, [], [], shape)
@@ -647,9 +648,10 @@ class TestRng:
         with pytest.raises(ParamError):
             RngStream(-1)
 
-    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3"])
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3", True])
     def test_seed_must_be_an_integer(self, seed):
-        # 1.5 ran as seed 1; NaN raised ValueError and "3" TypeError
+        # 1.5 and True ran as seed 1; NaN raised ValueError and "3"
+        # TypeError
         with pytest.raises(ParamError, match="seed"):
             RngStream(seed)
         with pytest.raises(ParamError, match="master seed"):

@@ -734,9 +734,16 @@ class TestSynth:
         frac = np.count_nonzero(v.to_dense()) / 400.0
         assert frac <= 0.35
 
+    @pytest.mark.parametrize("m, n, k", [
+        (4, 4, 9), (0, 4, 1), (2.5, 4, 1), (4, 4, True), (4, "4", 1)],
+        ids=["rank-too-large", "zero-rows", "fractional-rows", "bool-rank",
+             "string-cols"])
+    def test_sizes_are_integers_in_range(self, m, n, k):
+        # 2.5 and "4" raised TypeError; True ran as k_true 1
+        with pytest.raises(ParamError, match="^synth needs integers"):
+            synth(m, n, k)
+
     def test_param_validation(self):
-        with pytest.raises(ParamError):
-            synth(4, 4, 9)
         with pytest.raises(ParamError):
             synth(4, 4, 2, density=0.0)
         with pytest.raises(ParamError):

@@ -57,9 +57,9 @@ class TestRunMany:
         with pytest.raises(ParamError):
             run_many(np.ones((3, 3)), base_config(), runs=0, master_seed=0)
 
-    @pytest.mark.parametrize("runs", [2.5, float("nan"), "2"])
+    @pytest.mark.parametrize("runs", [2.5, float("nan"), "2", True])
     def test_run_count_must_be_an_integer(self, runs):
-        # a TypeError at the parent
+        # a TypeError at the parent; True ran once
         with pytest.raises(ParamError, match="run count"):
             run_many(np.ones((3, 3)), base_config(rank=1), runs=runs,
                      master_seed=0)
@@ -80,10 +80,12 @@ class TestRankSweep:
     def test_single_rank_record(self):
         rng = make_rng(4)
         v = random_nonneg(rng, 10, 8)
-        sweep = RankSweepConfig(ranks=[3], runs_per_rank=5,
+        # a numpy integer is a rank, and a repeat of one
+        sweep = RankSweepConfig(ranks=[np.int64(3), 3], runs_per_rank=5,
                                 base=base_config(master_seed=7))
         report = rank_sweep(v, sweep)
         assert len(report.records) == 1
+        assert type(report.records[0].rank) is int
         assert report.records[0].rank == 3
         assert report.recommended_rank == 3
 
@@ -121,6 +123,9 @@ class TestRankSweep:
         # [2.5] ran rank 2; ["2"] too
         ([2.5], 2, RankError, "^candidate ranks must be integers"),
         (["2", 3], 2, RankError, "^candidate ranks must be integers"),
+        # swept rank 1, and dropped 2.0 as a repeat of 2
+        ([True, 2], 2, RankError, "^candidate ranks must be integers"),
+        ([2, 2.0], 2, RankError, "^candidate ranks must be integers"),
         # a TypeError at the parent
         ([2], 2.5, ParamError, "^runs_per_rank must be of type int, got 2.5$"),
         ([2], 0, ParamError, r"^runs_per_rank must be finite and lie in "

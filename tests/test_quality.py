@@ -21,6 +21,19 @@ def model_of(w, h):
                        "nmf-eu", None, 1, 0.0)
 
 
+def hoyer_oracle(x):
+    """(score, fault) of one vector from 1-d reductions, as the per-vector
+    scorer computed them: the kind of a degenerate vector, else None."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < 2:
+        return 0.0, "length-%d" % x.size
+    l2 = math.sqrt(float(np.einsum("i,i->", x, x)))
+    if l2 == 0.0:
+        return 0.0, "all-zero"
+    rt = math.sqrt(x.size)
+    return (rt - float(np.sum(np.abs(x))) / l2) / (rt - 1.0), None
+
+
 class TestRssEvar:
     def test_exact_fit(self):
         rng = make_rng(0)
@@ -115,6 +128,45 @@ class TestSparseness:
             warnings.simplefilter("always")
             sparseness(model_of(w, h))
         assert [str(x.message) for x in caught] == [message]
+
+    @pytest.mark.parametrize("x", [[0.0], [], [0.0, 0.0], [3.0], [1e-200, 0],
+                                   [0.3, 0.0, 2.5, 1e-9, 7.0]],
+                             ids=["zero", "empty", "zeros", "one", "tiny",
+                                  "five"])
+    def test_vector_equals_oracle_bitwise(self, x):
+        want, fault = hoyer_oracle(x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sparseness_vector(x)
+        assert type(got) is float and got == want
+        assert [str(c.message) for c in caught] == (
+            ["sparseness: %s vector scored as 0" % fault] if fault else [])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_factor_equals_per_vector_oracle_bitwise(self, seed):
+        # whole factors are reduced row by row; each score must keep the
+        # bits of its vector's own 1-d reductions (summary.json does)
+        rng = make_rng(seed)
+        m, k, n = (int(x) for x in rng.integers(1, [300, 8, 900]))
+        w = rng.uniform(size=(m, k)) ** rng.uniform(1, 6)
+        h = rng.uniform(size=(k, n)) ** rng.uniform(1, 6)
+        w[:, rng.integers(k)] *= seed % 2  # a zero column in half the cases
+        h[h < 0.2] = 0.0
+        for axis in ("columns", "rows"):
+            want, texts = [], []
+            for mat, name in ((w, "W"), (h, "H")):
+                scores, faults = zip(*map(
+                    hoyer_oracle, mat.T if axis == "columns" else mat))
+                want.append(float(np.mean(scores)))
+                bad = [f for f in faults if f]
+                if bad:
+                    texts.append("sparseness: %d %s vectors of %s scored "
+                                 "as 0" % (len(bad), bad[0], name))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = sparseness(model_of(w, h), axis=axis)
+            assert got == tuple(want)
+            assert [str(c.message) for c in caught] == texts
 
     def test_model_aggregation_in_range(self):
         rng = make_rng(4)
