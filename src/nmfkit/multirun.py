@@ -72,8 +72,9 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
     """
     v = as_matrix(v)
     m, n = v.shape
-    ranks = [integer(r) for r in sweep.ranks]  # each, before set() merges
-    if None in ranks:                           # 2 and 2.0 or True and 1
+    # each candidate is checked before set() merges 2.0 into 2, True into 1
+    ranks = [integer(r) for r in sweep.ranks]
+    if None in ranks:
         raise RankError("candidate ranks must be integers: %r" % (sweep.ranks,))
     ranks = sorted(set(ranks))
     if not ranks:

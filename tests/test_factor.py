@@ -618,7 +618,7 @@ class TestFactorize:
         model, _ = factorize(v, cfg)
         assert model.W[2, 1] == 0.0
 
-    def test_connectivity_stopping_window(self):
+    def test_connectivity_window_at_rank_one(self):
         rng = make_rng(21)
         v = random_nonneg(rng, 6, 5)
         cfg = FactorConfig(method="nmf-eu", rank=1, seed=SeedSpec("random"),
