@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericError
 
 # a pair (p, q) is orthogonal once apq^2 <= (REL_TOL^2) app aqq
-REL_TOL = 1e-14
+REL_TOL, MAX_SWEEPS = 1e-14, 60
 
 
 @functools.lru_cache(maxsize=16)
@@ -74,7 +74,7 @@ def _pivoted_qr(a):
     return perm, at[:, :n].T, ws
 
 
-def jacobi_svd(a, max_sweeps: int = 60):
+def jacobi_svd(a):
     """Full SVD of a dense matrix: returns (u, s, vt) with s descending.
 
     u is m x r, s has length r, vt is r x n, with r = min(m, n).  For
@@ -82,12 +82,12 @@ def jacobi_svd(a, max_sweeps: int = 60):
     orthogonal, and A = (Q J) Σ (P X)ᵀ with Σ G's column norms and
     X = G Σ⁻¹.  So u = Q J is orthonormal, and where σ = 0 the row of vt
     is zero.  For m < n the SVD of Aᵀ is transposed: a column of u is zero.
-    Raises NumericError if the rotation sweeps fail to converge.
+    Raises NumericError if MAX_SWEEPS rotation sweeps do not converge.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     if m < n:
-        vt, s, ut = jacobi_svd(a.T, max_sweeps)
+        vt, s, ut = jacobi_svd(a.T)
         return ut.T, s, vt.T
 
     perm, r, ws = _pivoted_qr(a)
@@ -95,7 +95,7 @@ def jacobi_svd(a, max_sweeps: int = 60):
     x = np.hstack([r, np.eye(n)])
     tol2 = REL_TOL * REL_TOL
     rounds_p, rounds_q = _round_robin(n)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for p, q in zip(rounds_p, rounds_q):
             xp, xq = x.take(p, 0), x.take(q, 0)

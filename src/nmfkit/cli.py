@@ -38,8 +38,9 @@ def _within(interval, cast):
     return parse
 
 
-_PARAM_TYPES = {f.name: _within(f.metadata["range"], field_type(f)[0])
-                for f in dataclasses.fields(ParamSet)}
+_TYPES = {f.name: _within(f.metadata["range"], field_type(f)[0])
+          for record in (ParamSet, FactorConfig, RankSweepConfig)
+          for f in dataclasses.fields(record) if "range" in f.metadata}
 
 
 def _param(text):
@@ -48,16 +49,16 @@ def _param(text):
     key, sep, value = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("expects KEY=VALUE, got %r" % text)
-    if key not in _PARAM_TYPES:
+    if key not in ParamSet.__dataclass_fields__:
         raise argparse.ArgumentTypeError(
             "unknown method parameter %r (known: %s)"
-            % (key, ", ".join(sorted(_PARAM_TYPES))))
+            % (key, ", ".join(sorted(ParamSet.__dataclass_fields__))))
     try:
-        return key, _PARAM_TYPES[key](value)
+        return key, _TYPES[key](value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "parameter %s must be of type %s, got %r"
-            % (key, _PARAM_TYPES[key].__name__, value)) from None
+            % (key, _TYPES[key].__name__, value)) from None
     except argparse.ArgumentTypeError as exc:  # outside the field's range
         raise argparse.ArgumentTypeError(
             "parameter %s %s, got %r" % (key, exc, value)) from None
@@ -65,12 +66,10 @@ def _param(text):
 
 def _ranks(text):
     """An argparse type: A..B or a comma list of positive integers."""
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = (int(x) for x in text.split("..", 1))
-            ranks = list(range(lo, hi + 1))
-        else:
-            ranks = [int(tok) for tok in text.split(",") if tok]
+        ranks = (list(range(int(lo), int(hi) + 1)) if sep
+                 else [int(tok) for tok in text.split(",") if tok])
     except ValueError:
         ranks = []
     if not ranks or min(ranks) < 1:
@@ -99,15 +98,15 @@ def _add_factorize_flags(p, with_rank=True):
     # no flag supplies W0 and H0, so `fixed` seeding is library-only
     p.add_argument("--seed", default=SeedSpec.kind,
                    choices=[s for s in SEED_METHOD_NAMES if s != "fixed"])
-    p.add_argument("--max-iter", type=_within("[1, inf)", int),
+    p.add_argument("--max-iter", type=_TYPES["max_iter"],
                    default=FactorConfig.max_iter)
-    p.add_argument("--min-delta", type=_within("[0, inf)", float),
+    p.add_argument("--min-delta", type=_TYPES["min_residual_delta"],
                    default=FactorConfig.min_residual_delta,
                    help="relative objective improvement below which to stop")
-    p.add_argument("--conn-change", type=_within("[0, inf)", int),
+    p.add_argument("--conn-change", type=_TYPES["conn_change"],
                    default=FactorConfig.conn_change,
                    help="connectivity-stability stopping window (0 disables)")
-    p.add_argument("--master-seed", type=_within("[0, inf)", int),
+    p.add_argument("--master-seed", type=_TYPES["master_seed"],
                    default=FactorConfig.master_seed)
     p.add_argument("--scale-unit", action="store_true",
                    help="divide V by its maximum entry before factorizing")
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factorize_flags(p, with_rank=False)
     p.add_argument("--ranks", required=True, type=_ranks,
                    help="candidate ranks: A..B or comma list")
-    p.add_argument("--runs", type=_within("[1, inf)", int), default=10,
+    p.add_argument("--runs", type=_TYPES["runs_per_rank"], default=10,
                    help="factorization runs per rank")
     p.set_defaults(func=cmd_rank_estimate)
 

@@ -103,25 +103,33 @@ def field_type(f):
     return (int if kind.startswith("int") else float), kind.endswith("| None")
 
 
-def check_settings(record, prefix=""):
-    """Raise ParamError, naming the field after `prefix`, for a `setting` of
-    the dataclass `record` of the wrong type (`field_type`), not finite or
-    outside its interval.  A field with a "prefix" in its metadata holds an
-    instance of its default factory, checked in turn under that prefix."""
+def check_number(name: str, x, kind, interval: str, none_ok=False):
+    """x (an int if `kind` is int) if it is None and `none_ok`, or a `kind`
+    (int: `integer`; float: a real number, not a bool) in `interval`, else
+    ParamError naming `name`: the one range check of a caller's number."""
+    if x is None and none_ok:
+        return x
+    value = integer(x) if kind is int else x
+    if value is None or isinstance(x, bool) or not isinstance(x, Real):
+        raise ParamError("%s must be of type %s%s, got %r" % (
+            name, kind.__name__, " | None" * none_ok, x))
+    if not in_interval(value, interval):
+        raise ParamError("%s must be finite and lie in %s, got %r"
+                         % (name, interval, x))
+    return value
+
+
+def check_settings(record, kind, name: str, prefix=""):
+    """Raise ParamError unless `record` is a `kind` dataclass (else naming
+    it `name`) whose `setting`s pass `check_number`, named after `prefix`; a
+    field with a "record" class and "prefix" in its metadata is checked too."""
+    if not isinstance(record, kind):
+        raise ParamError("%s must be of type %s, got %r"
+                         % (name, kind.__name__, record))
     for f in fields(record):
-        x, interval = getattr(record, f.name), f.metadata.get("range")
-        if "prefix" in f.metadata:
-            if not isinstance(x, f.default_factory):
-                raise ParamError("%s%s must be of type %s, got %r" % (
-                    prefix, f.name, f.default_factory.__name__, x))
-            check_settings(x, f.metadata["prefix"])
-        cast, none_ok = field_type(f)
-        if interval is None or (x is None and none_ok):
-            continue
-        if not (integer(x) is not None if cast is int
-                else isinstance(x, Real) and not isinstance(x, bool)):
-            raise ParamError("%s%s must be of type %s%s, got %r" % (
-                prefix, f.name, cast.__name__, " | None" * none_ok, x))
-        if not in_interval(x, interval):
-            raise ParamError("%s%s must be finite and lie in %s, got %r"
-                             % (prefix, f.name, interval, x))
+        x, meta = getattr(record, f.name), f.metadata
+        if "record" in meta:
+            check_settings(x, meta["record"], prefix + f.name, meta["prefix"])
+        elif "range" in meta:
+            cast, none_ok = field_type(f)
+            check_number(prefix + f.name, x, cast, meta["range"], none_ok)

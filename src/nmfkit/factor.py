@@ -18,6 +18,7 @@ deterministic given the config, including its master seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, MethodError, ParamError, RankError,
-                     check_settings, integer, out_of_memory, setting)
+                     check_number, check_settings, integer, out_of_memory,
+                     setting)
 from .matcore import (EPS, RngStream, as_matrix, frobenius_sq, kl_div,
                       matmul, product_on, residual_sq, safe_divide,
                       safe_divide_product)
@@ -72,16 +74,16 @@ class ParamSet:
 class FactorConfig:
     method: str
     rank: int
-    seed: SeedSpec = field(default_factory=SeedSpec,
-                           metadata={"prefix": "seed "})
+    seed: SeedSpec = field(default_factory=SeedSpec, metadata={
+        "record": SeedSpec, "prefix": "seed "})
     max_iter: int = setting("[1, inf)", 200)
     min_residual_delta: float = setting("[0, inf)", 1e-5)
     conn_change: int = setting("[0, inf)", 30)
     track_error: bool = False
     track_factors: int = setting("[0, inf)", 0)
-    master_seed: int = 0
-    params: ParamSet = field(default_factory=ParamSet,
-                             metadata={"prefix": "method parameter "})
+    master_seed: int = setting("[0, inf)", 0)
+    params: ParamSet = field(default_factory=ParamSet, metadata={
+        "record": ParamSet, "prefix": "method parameter "})
 
 
 @dataclass
@@ -172,13 +174,14 @@ def mu_kl_step(v, w, h, wh=None):
     return w, h
 
 
+@functools.lru_cache(maxsize=16, typed=True)  # checked once per (theta, k)
 def nsnmf_smoothing(theta: float, k: int) -> np.ndarray:
-    """S(theta) = (1 - theta) I + (theta / k) * ones; rows sum to one."""
-    if not 0.0 <= theta <= 1.0:
-        raise ParamError("theta must lie in [0, 1]")
-    if k < 1:
-        raise ParamError("smoothing matrix needs k >= 1")
-    return (1.0 - theta) * np.eye(k) + (theta / k) * np.ones((k, k))
+    """S(theta) = (1 - theta) I + (theta / k) * ones; cached, so read-only."""
+    check_number("theta", theta, float, "[0, 1]")
+    check_number("k", k, int, "[1, inf)")
+    s = (1.0 - theta) * np.eye(k) + (theta / k) * np.ones((k, k))
+    s.flags.writeable = False
+    return s
 
 
 def nsnmf_iterate(v, w, h, theta: float, wh=None):
@@ -422,14 +425,14 @@ def factorize(v, config: FactorConfig):
     argmax row of every column of H (ties to the lowest row) stayed put for
     conn_change iterations in a row (when conn_change > 0); else the loop
     ends at max_iter.  The Gibbs sampler (bd), whose objective trace is
-    stochastic, always runs max_iter sweeps.  A negative or non-finite V
-    raises DomainError, a rank that is not an integer (`errors.integer`) in
-    [1, min(m, n)] RankError, a setting of the wrong type or outside its
-    range ParamError (`check_settings`), running out of memory
-    OutOfMemoryError.
+    stochastic, always runs max_iter sweeps.  A V not of real numbers or a
+    config not a FactorConfig of settings in range (`check_settings`)
+    raises ParamError, a negative or non-finite V DomainError, a rank not an
+    integer in [1, min(m, n)] RankError, a lack of memory OutOfMemoryError.
     """
     v = as_matrix(v)
     v.require_model_input("V")
+    check_settings(config, FactorConfig, "config")
     method, params = config.method, config.params
     if method not in OBJECTIVE_KIND:
         raise MethodError("unknown method %r (expected one of %s)"
@@ -438,7 +441,6 @@ def factorize(v, config: FactorConfig):
     if not 1 <= (integer(config.rank) or 0) <= min(m, n):
         raise RankError("rank %r out of range [1, %d]"
                         % (config.rank, min(m, n)))
-    check_settings(config)
     values = v.values
     peak = float(np.max(values)) if values.size else 0.0
     if method == "bmf" and peak > 1.0:

@@ -22,12 +22,13 @@ its gemm can differ in its last bits between BLAS thread counts.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
 
 from .errors import (DomainError, OutOfMemoryError, ParamError, ShapeError,
-                     integer)
+                     check_number, integer)
 
 # Machine epsilon of float64, the default stabilizer for denominators.
 EPS = float(np.finfo(np.float64).eps)
@@ -39,6 +40,15 @@ def _index_array(x) -> np.ndarray:
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ParamError("index arrays must be 1-d arrays of integers")
     return arr.astype(np.int64, copy=False)
+
+
+def _reals(x, what) -> np.ndarray:
+    """`x` as an array of bool, integer or float entries, else ParamError."""
+    with contextlib.suppress(ValueError):  # numpy refuses ragged nests
+        arr = np.asarray(x)
+        if arr.dtype.kind in "biuf":
+            return arr
+    raise ParamError("%s must be real numbers (bool, integer or float)" % what)
 
 
 def _dims(shape):
@@ -92,7 +102,7 @@ class DataMatrix:
 
     @classmethod
     def dense(cls, values) -> "DataMatrix":
-        arr = np.array(values, dtype=np.float64, order="C", copy=True)
+        arr = _reals(values, "matrix entries").astype(np.float64, order="C")
         arr.flags.writeable = False
         return cls(*_dims(arr.shape), dense_data=arr)
 
@@ -120,7 +130,7 @@ class DataMatrix:
         entry out of bounds or a repeated (i, j) raises ParamError."""
         rows, cols = _dims(shape)
         rows_idx, cols_idx = _index_array(rows_idx), _index_array(cols_idx)
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(_reals(values, "coordinate values"), np.float64)
         if not rows_idx.shape == cols_idx.shape == values.shape:
             raise ParamError("coordinate arrays must have one length")
         b, d, order = coo_order(rows_idx, cols_idx, rows, cols)
@@ -211,7 +221,7 @@ def as_matrix(x) -> DataMatrix:
     """Wrap a 2-d ndarray as a dense DataMatrix; pass DataMatrix through."""
     if isinstance(x, DataMatrix):
         return x
-    return DataMatrix.dense(np.asarray(x, dtype=np.float64))
+    return DataMatrix.dense(x)
 
 
 def _dense_of(x) -> np.ndarray:
@@ -469,9 +479,7 @@ class RngStream(np.random.Generator):
     """
 
     def __init__(self, seed: int):
-        seed = integer(seed)
-        if seed is None or seed < 0:
-            raise ParamError("rng seed must be a nonnegative integer")
+        seed = check_number("seed", seed, int, "[0, inf)")
         super().__init__(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def choice_without_replacement(self, n: int, count: int) -> np.ndarray:
@@ -494,8 +502,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
     yields the same derived seed.  An entry that is not a nonnegative
     integer raises ParamError.
     """
-    entries = [integer(x) for x in (master_seed,) + key]
-    if None in entries or min(entries) < 0:
-        raise ParamError("master seed and keys must be nonnegative integers")
-    ss = np.random.SeedSequence(entries)
+    names = ["master_seed"] + ["key"] * len(key)
+    ss = np.random.SeedSequence([check_number(name, x, int, "[0, inf)") for
+                                 name, x in zip(names, (master_seed,) + key)])
     return int(ss.generate_state(1, np.uint64)[0])

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import os
 import stat
 import warnings
@@ -29,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (IoError, ParamError, ParseError, ShapeError, integer,
-                     out_of_memory)
+from .errors import (IoError, ParamError, ParseError, ShapeError,
+                     check_number, out_of_memory)
 from .matcore import (DataMatrix, RngStream, as_matrix, coo_order,
                       first_true)
 
@@ -325,14 +324,11 @@ def synth(m: int, n: int, k_true: int, noise_sigma: float = 0.0,
     noise is added before clipping at zero, then entries below the
     (1 - density) quantile are zeroed.  Returns (V, W_true, H_true).
     """
-    if not 1 <= (integer(k_true) or 0) <= min(integer(m) or 0,
-                                             integer(n) or 0):
-        raise ParamError("synth needs integers m, n >= k_true >= 1, got "
-                         "m=%r, n=%r, k_true=%r" % (m, n, k_true))
-    if not 0 < density <= 1:
-        raise ParamError("density must lie in (0, 1]")
-    if not 0 <= noise_sigma < math.inf:
-        raise ParamError("noise_sigma must be finite and nonnegative")
+    m = check_number("m", m, int, "[1, inf)")
+    n = check_number("n", n, int, "[1, inf)")
+    check_number("k_true", k_true, int, "[1, %d]" % min(m, n))
+    check_number("noise_sigma", noise_sigma, float, "[0, inf)")
+    check_number("density", density, float, "(0, 1]")
     rng = RngStream(seed)
     row_block = (np.arange(m) * k_true) // m
     col_block = (np.arange(n) * k_true) // n

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ParamError, RankError, check_settings, integer,
+from .errors import (RankError, check_number, check_settings, integer,
                      out_of_memory, setting)
 from .factor import FactorConfig, factorize
 from .matcore import as_matrix, derive_seed
@@ -24,7 +24,8 @@ from .quality import _evar_of_rss, consensus, cophenetic, dispersion, rss
 class RankSweepConfig:
     ranks: list
     runs_per_rank: int = setting("[1, inf)")
-    base: FactorConfig
+    base: FactorConfig = field(metadata={"record": FactorConfig,
+                                         "prefix": "base "})
 
 
 @dataclass
@@ -52,10 +53,9 @@ def run_many(v, config: FactorConfig, runs: int, master_seed: int,
     must be 1.  A failing run aborts the whole batch with its error;
     silently skipped runs would bias the consensus.
     """
-    if (integer(runs) or 0) < 1:
-        raise ParamError("run count must be an integer >= 1, got %r" % (runs,))
-    if threads != 1:
-        raise ParamError("runs execute serially; threads must be 1")
+    check_settings(config, FactorConfig, "config")
+    runs = check_number("runs", runs, int, "[1, inf)")
+    check_number("threads", threads, int, "[1, 1]")  # runs are serial
     v = as_matrix(v)
     seeds = [derive_seed(master_seed, config.rank, i) for i in range(runs)]
     models = [factorize(v, replace(config, master_seed=s))[0] for s in seeds]
@@ -71,6 +71,7 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
     OutOfMemoryError.
     """
     v = as_matrix(v)
+    check_settings(sweep, RankSweepConfig, "sweep")
     m, n = v.shape
     # each candidate is checked before set() merges 2.0 into 2, True into 1
     ranks = [integer(r) for r in sweep.ranks]
@@ -83,7 +84,6 @@ def rank_sweep(v, sweep: RankSweepConfig) -> ConsensusReport:
         if not 1 <= r <= min(m, n):
             raise RankError("candidate rank %d out of range [1, %d]"
                             % (r, min(m, n)))
-    check_settings(sweep)
     if sweep.runs_per_rank < 2:
         warnings.warn("consensus over a single run is degenerate; "
                       "stability statistics are not informative")

@@ -67,8 +67,8 @@ def distance(v, model: FactorModel, metric: str) -> float:
 
 
 def _hoyer(rows):
-    """(Hoyer scores, degenerate kind, degenerate count) of the rows of a
-    2-d array, each row reduced in the order of a contiguous 1-d vector."""
+    """(Hoyer scores (sqrt(n) - l1/l2) / (sqrt(n) - 1), degenerate kind and
+    count) of a 2-d array's rows, each reduced as a contiguous 1-d vector."""
     x = np.ascontiguousarray(rows, dtype=np.float64)
     count, size = x.shape
     if size < 2:
@@ -79,18 +79,6 @@ def _hoyer(rows):
     scores = (rt - abs(x).sum(axis=1) / np.where(zero, 1.0, l2)) / (rt - 1.0)
     scores[zero] = 0.0
     return scores, "all-zero", int(zero.sum())
-
-
-def sparseness_vector(x) -> float:
-    """Hoyer sparseness (sqrt(n) - l1/l2) / (sqrt(n) - 1) in [0, 1].
-
-    Defined for vectors of length >= 2; degenerate vectors (length one,
-    or all zeros) score 0 with a warning so batch summaries stay total.
-    """
-    (score,), fault, bad = _hoyer(np.reshape(x, (1, -1)))
-    if bad:
-        warnings.warn("sparseness: %s vector scored as 0" % fault)
-    return float(score)
 
 
 def sparseness(model: FactorModel, axis: str = "columns"):

@@ -19,8 +19,7 @@ from nmfkit.factor import (FactorConfig, ParamSet, factorize,
 from nmfkit.matcore import DataMatrix, RngStream, frobenius_sq, kl_div
 from nmfkit.mio import read_matrix, synth, write_matrix
 from nmfkit.multirun import RankSweepConfig, rank_sweep
-from nmfkit.quality import (distance, evar, feature_scores, rss,
-                            sparseness_vector)
+from nmfkit.quality import _hoyer, distance, evar, feature_scores, rss
 from nmfkit.seeding import SeedSpec
 from test_pg_nnls import draw_problem, nnls_kkt_oracle, solve_tight
 
@@ -173,8 +172,9 @@ def test_c06_quality_identities():
         assert kl_div(v, v, np.eye(n)) == 0.0
     one_hot = np.zeros(7)
     one_hot[3] = 1.0
-    assert sparseness_vector(one_hot) == pytest.approx(1.0)
-    assert sparseness_vector(np.full(7, 0.4)) == pytest.approx(0.0, abs=1e-12)
+    (sp_one_hot, sp_flat), _, _ = _hoyer([one_hot, np.full(7, 0.4)])
+    assert sp_one_hot == pytest.approx(1.0)
+    assert sp_flat == pytest.approx(0.0, abs=1e-12)
     assert feature_scores(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
     assert feature_scores(np.array([[0.7, 0.7]]))[0] == pytest.approx(
         0.0, abs=1e-12)

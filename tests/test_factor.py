@@ -99,9 +99,24 @@ class TestNsnmf:
         np.testing.assert_allclose(nsnmf_smoothing(theta, k).sum(axis=1),
                                    np.ones(k), rtol=1e-15)
 
+    def test_smoothing_is_built_and_checked_once(self):
+        # factor._run asks for S(theta) three times per nsnmf iteration
+        s = nsnmf_smoothing(0.3, 4)
+        assert nsnmf_smoothing(0.3, 4) is s and not s.flags.writeable
+
     def test_smoothing_theta_out_of_range(self):
         with pytest.raises(ParamError):
             nsnmf_smoothing(1.5, 2)
+
+    @pytest.mark.parametrize("theta, k, message", [
+        # True ran as theta 1.0
+        (True, 2, "^theta must be of type float, got True$"),
+        # TypeErrors at the parent
+        ("0.5", 2, "^theta must be of type float, got '0.5'$"),
+        (0.5, 2.0, "^k must be of type int, got 2.0$")])
+    def test_smoothing_arguments_are_typed(self, theta, k, message):
+        with pytest.raises(ParamError, match=message):
+            nsnmf_smoothing(theta, k)
 
     def test_theta_zero_matches_plain_kl(self):
         rng = make_rng(4)
@@ -510,12 +525,31 @@ class TestFactorize:
         with pytest.raises(ParamError, match=message):
             factorize(np.ones((3, 3)), cfg)
 
+    @pytest.mark.parametrize("config", ["x", None, ParamSet()])
+    def test_config_of_the_wrong_type(self, config):
+        # an AttributeError at the parent
+        with pytest.raises(ParamError, match="^config must be of type "
+                           "FactorConfig, got "):
+            factorize(np.ones((3, 3)), config)
+
+    @pytest.mark.parametrize("v", [
+        # numpy's ValueError at the parent
+        "abc", [[1.0, 2.0], [3.0]],
+        # a string array was read as numbers
+        [["1", "2"], ["3", "4"]],
+        # the imaginary part was dropped with a ComplexWarning
+        np.full((3, 3), 1 + 2j)], ids=["string", "ragged", "strings",
+                                       "complex"])
+    def test_v_of_real_numbers(self, v):
+        with pytest.raises(ParamError, match="^matrix entries must be real "
+                           r"numbers \(bool, integer or float\)$"):
+            factorize(v, FactorConfig(method="nmf-eu", rank=1))
+
     @pytest.mark.parametrize("record", [FactorConfig, ParamSet, SeedSpec,
                                         RankSweepConfig])
     def test_every_numeric_setting_has_a_range(self, record):
-        # rank's range depends on V (RankError); master_seed is checked by
-        # the random stream
-        unchecked = {"rank", "master_seed"}
+        # rank's range depends on V (RankError)
+        unchecked = {"rank"}
         for f in dataclasses.fields(record):
             if f.type.split(" | ")[0] in ("int", "float"):
                 assert ("range" in f.metadata) != (f.name in unchecked), f.name

@@ -113,8 +113,13 @@ class TestDataMatrix:
         ([0], [0], []),
         ([0.7], [0], [1.0]),
         ([0], [[0]], [1.0]),
+        # numpy's ValueError at the parent
+        ([0], [0], ["x"]),
+        # the imaginary part was dropped with a ComplexWarning
+        ([0], [0], [1 + 2j]),
     ], ids=["extra-value", "unequal-indices", "short-values",
-            "fractional-index", "two-d-index"])
+            "fractional-index", "two-d-index", "string-value",
+            "complex-value"])
     def test_from_coo_refuses_malformed_arrays(self, rows, cols, values):
         with pytest.raises(ParamError):
             DataMatrix.from_coo(rows, cols, values, (1, 1))
@@ -654,9 +659,9 @@ class TestRng:
         # TypeError
         with pytest.raises(ParamError, match="seed"):
             RngStream(seed)
-        with pytest.raises(ParamError, match="master seed"):
+        with pytest.raises(ParamError, match="^master_seed must be "):
             derive_seed(seed, 2)
-        with pytest.raises(ParamError, match="master seed"):
+        with pytest.raises(ParamError, match="^key must be "):
             derive_seed(2, seed)
 
     def test_choice_without_replacement(self):

@@ -734,13 +734,17 @@ class TestSynth:
         frac = np.count_nonzero(v.to_dense()) / 400.0
         assert frac <= 0.35
 
-    @pytest.mark.parametrize("m, n, k", [
-        (4, 4, 9), (0, 4, 1), (2.5, 4, 1), (4, 4, True), (4, "4", 1)],
+    @pytest.mark.parametrize("m, n, k, message", [
+        (4, 4, 9, r"^k_true must be finite and lie in \[1, 4\], got 9$"),
+        (0, 4, 1, r"^m must be finite and lie in \[1, inf\), got 0$"),
+        (2.5, 4, 1, "^m must be of type int, got 2.5$"),
+        (4, 4, True, "^k_true must be of type int, got True$"),
+        (4, "4", 1, "^n must be of type int, got '4'$")],
         ids=["rank-too-large", "zero-rows", "fractional-rows", "bool-rank",
              "string-cols"])
-    def test_sizes_are_integers_in_range(self, m, n, k):
+    def test_sizes_are_integers_in_range(self, m, n, k, message):
         # 2.5 and "4" raised TypeError; True ran as k_true 1
-        with pytest.raises(ParamError, match="^synth needs integers"):
+        with pytest.raises(ParamError, match=message):
             synth(m, n, k)
 
     def test_param_validation(self):
@@ -751,3 +755,18 @@ class TestSynth:
         for sigma in (float("nan"), float("inf")):  # nan gave noise-free data
             with pytest.raises(ParamError, match="noise_sigma"):
                 synth(4, 4, 2, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("settings, message", [
+        # True ran as sigma (density) 1.0
+        ({"noise_sigma": True},
+         "^noise_sigma must be of type float, got True$"),
+        ({"density": True}, "^density must be of type float, got True$"),
+        # a TypeError at the parent
+        ({"noise_sigma": None},
+         "^noise_sigma must be of type float, got None$"),
+        ({"density": "0.5"}, "^density must be of type float, got '0.5'$"),
+        ({"density": 0.0},
+         r"^density must be finite and lie in \(0, 1\], got 0.0$")])
+    def test_float_arguments_are_checked_settings(self, settings, message):
+        with pytest.raises(ParamError, match=message):
+            synth(4, 4, 2, **settings)

@@ -60,19 +60,29 @@ class TestRunMany:
     @pytest.mark.parametrize("runs", [2.5, float("nan"), "2", True])
     def test_run_count_must_be_an_integer(self, runs):
         # a TypeError at the parent; True ran once
-        with pytest.raises(ParamError, match="run count"):
+        with pytest.raises(ParamError, match="^runs must be "):
             run_many(np.ones((3, 3)), base_config(rank=1), runs=runs,
                      master_seed=0)
 
+    @pytest.mark.parametrize("config, threads, message", [
+        # a TypeError from dataclasses.replace at the parent
+        ("x", 1, "^config must be of type FactorConfig, got 'x'$"),
+        # True ran serially
+        (base_config(), True, "^threads must be of type int, got True$")])
+    def test_arguments_are_typed(self, config, threads, message):
+        with pytest.raises(ParamError, match=message):
+            run_many(np.ones((3, 3)), config, runs=2, master_seed=0,
+                     threads=threads)
+
     def test_negative_master_seed_is_param_error(self):
         # was numpy's "expected non-negative integer" ValueError
-        with pytest.raises(ParamError, match="master seed"):
+        with pytest.raises(ParamError, match="^master_seed must be finite"):
             run_many(np.ones((3, 3)), base_config(), runs=2, master_seed=-1)
 
 
     def test_fractional_master_seed_is_param_error(self):
         # ran as master seed 1
-        with pytest.raises(ParamError, match="master seed"):
+        with pytest.raises(ParamError, match="^master_seed must be of type"):
             run_many(np.ones((3, 3)), base_config(), runs=2, master_seed=1.5)
 
 
@@ -136,10 +146,28 @@ class TestRankSweep:
         with pytest.raises(error, match=message):
             rank_sweep(np.ones((4, 4)), sweep)
 
+    @pytest.mark.parametrize("sweep, message", [
+        # an AttributeError at the parent
+        ("x", "^sweep must be of type RankSweepConfig, got 'x'$"),
+        # a TypeError from dataclasses.replace at the parent
+        (RankSweepConfig(ranks=[2], runs_per_rank=2, base="x"),
+         "^base must be of type FactorConfig, got 'x'$"),
+        # named without its record at the parent, from the first run
+        (RankSweepConfig(ranks=[2], runs_per_rank=2,
+                         base=base_config(max_iter=0)),
+         r"^base max_iter must be finite and lie in \[1, inf\), got 0$"),
+        (RankSweepConfig(ranks=[2], runs_per_rank=2,
+                         base=FactorConfig("nmf-eu", 2, seed="random")),
+         "^base seed must be of type SeedSpec, got 'random'$")])
+    def test_records_are_typed(self, sweep, message):
+        with pytest.raises(ParamError, match=message):
+            rank_sweep(np.ones((4, 4)), sweep)
+
     def test_negative_master_seed_is_param_error(self):
         sweep = RankSweepConfig(ranks=[2], runs_per_rank=2,
                                 base=base_config(master_seed=-1))
-        with pytest.raises(ParamError, match="master seed"):
+        with pytest.raises(ParamError, match=r"^base master_seed must be "
+                           r"finite and lie in \[0, inf\), got -1$"):
             rank_sweep(np.ones((4, 4)), sweep)
 
     def test_single_run_warns(self):

@@ -14,6 +14,7 @@ import statistics
 import numpy as np
 import pytest
 
+import nmfkit._svd as svd_mod
 import nmfkit.factor as factor_mod
 import nmfkit.seeding as seeding_mod
 from conftest import make_rng
@@ -267,9 +268,10 @@ class TestJacobiOracle:
         np.testing.assert_array_equal(vt[-1], 0.0)
         np.testing.assert_allclose(u.T @ u, np.eye(a.shape[1]), atol=1e-14)
 
-    def test_sweep_limit_raises(self):
+    def test_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(svd_mod, "MAX_SWEEPS", 1)
         with pytest.raises(NumericError):
-            jacobi_svd(make_rng(47).normal(size=(20, 10)), max_sweeps=1)
+            jacobi_svd(make_rng(47).normal(size=(20, 10)))
 
     @pytest.mark.parametrize("kind", ["nndsvd", "nndsvda", "nndsvdar"])
     @pytest.mark.parametrize("name,v,k", SEED_CASES,

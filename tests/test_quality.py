@@ -12,8 +12,7 @@ from nmfkit.factor import FactorModel
 from nmfkit.matcore import EPS, DataMatrix, frobenius_sq
 from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
                             distance, evar, feature_scores, fit_summary, rss,
-                            sparseness, sparseness_vector,
-                            _average_linkage_cophenetic)
+                            sparseness, _average_linkage_cophenetic, _hoyer)
 
 
 def model_of(w, h):
@@ -32,6 +31,13 @@ def hoyer_oracle(x):
         return 0.0, "all-zero"
     rt = math.sqrt(x.size)
     return (rt - float(np.sum(np.abs(x))) / l2) / (rt - 1.0), None
+
+
+def hoyer(x):
+    """(score, fault) of one vector as `sparseness` scores each vector of a
+    factor (`quality._hoyer`): the kind of a degenerate vector, else None."""
+    (score,), fault, bad = _hoyer(np.reshape(x, (1, -1)))
+    return float(score), fault if bad else None
 
 
 class TestRssEvar:
@@ -100,21 +106,19 @@ class TestDistance:
 
 class TestSparseness:
     def test_one_hot_column(self):
-        assert sparseness_vector([1.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert hoyer([1.0, 0.0, 0.0, 0.0]) == (pytest.approx(1.0), None)
 
     def test_constant_column(self):
-        assert sparseness_vector([0.3, 0.3, 0.3, 0.3]) == pytest.approx(
-            0.0, abs=1e-12)
+        assert hoyer([0.3, 0.3, 0.3, 0.3]) == (
+            pytest.approx(0.0, abs=1e-12), None)
 
     def test_half_sparse_column(self):
-        got = sparseness_vector([1.0, 1.0, 0.0, 0.0])
+        got, _ = hoyer([1.0, 1.0, 0.0, 0.0])
         assert got == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
 
-    def test_zero_column_warns_and_scores_zero(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert sparseness_vector([0.0, 0.0]) == 0.0
-        assert len(caught) == 1
+    def test_zero_column_is_degenerate_and_scores_zero(self):
+        # the warning is the factor's, once (the test below)
+        assert hoyer([0.0, 0.0]) == (0.0, "all-zero")
 
     @pytest.mark.parametrize("w, h, message", [
         (np.ones((30, 1)), np.ones((1, 20)),
@@ -134,13 +138,8 @@ class TestSparseness:
                              ids=["zero", "empty", "zeros", "one", "tiny",
                                   "five"])
     def test_vector_equals_oracle_bitwise(self, x):
-        want, fault = hoyer_oracle(x)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = sparseness_vector(x)
-        assert type(got) is float and got == want
-        assert [str(c.message) for c in caught] == (
-            ["sparseness: %s vector scored as 0" % fault] if fault else [])
+        got = hoyer(x)
+        assert type(got[0]) is float and got == hoyer_oracle(x)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_factor_equals_per_vector_oracle_bitwise(self, seed):
