@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import NmfkitError, field_type, in_interval
 from .factor import METHODS, FactorConfig, ParamSet, factorize
 from .matcore import DataMatrix
-from .mio import read_matrix, synth, write_matrix, write_summary, write_text
+from .mio import (SynthArgs, read_matrix, synth, write_matrix, write_summary,
+                  write_text)
 from .multirun import RankSweepConfig, rank_sweep
 from .quality import fit_summary
 from .seeding import SEED_METHOD_NAMES, SeedSpec
@@ -39,7 +40,7 @@ def _within(interval, cast):
 
 
 _TYPES = {f.name: _within(f.metadata["range"], field_type(f)[0])
-          for record in (ParamSet, FactorConfig, RankSweepConfig)
+          for record in (ParamSet, FactorConfig, RankSweepConfig, SynthArgs)
           for f in dataclasses.fields(record) if "range" in f.metadata}
 
 
@@ -76,12 +77,6 @@ def _ranks(text):
         raise argparse.ArgumentTypeError("expects A..B or a comma list of "
                                          "positive integers, got %r" % text)
     return ranks
-
-
-def _scale_unit(v: DataMatrix) -> DataMatrix:
-    values = v.values
-    peak = float(values.max()) if values.size else 0.0
-    return v.with_values(values / peak) if peak > 0 else v
 
 
 def _add_common_io_flags(p):
@@ -130,10 +125,11 @@ def _build_config(args, rank) -> FactorConfig:
 
 
 def _read_input(args) -> DataMatrix:
+    """The input matrix, divided by its largest entry under --scale-unit."""
     v = read_matrix(args.input, args.input_format)
-    if args.scale_unit:
-        v = _scale_unit(v)
-    return v
+    values = v.values
+    peak = float(values.max()) if args.scale_unit and values.size else 0.0
+    return v.with_values(values / peak) if peak > 0 else v
 
 
 def cmd_factorize(args) -> int:
@@ -245,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank_estimate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic matrix")
-    p.add_argument("--rows", required=True, type=_within("[1, inf)", int))
-    p.add_argument("--cols", required=True, type=_within("[1, inf)", int))
-    p.add_argument("--rank", required=True, type=_within("[1, inf)", int))
-    p.add_argument("--noise", type=_within("[0, inf)", float), default=0.0)
-    p.add_argument("--density", type=_within("(0, 1]", float), default=1.0)
-    p.add_argument("--seed", type=_within("[0, inf)", int), default=0)
+    p.add_argument("--rows", required=True, type=_TYPES["m"])
+    p.add_argument("--cols", required=True, type=_TYPES["n"])
+    p.add_argument("--rank", required=True, type=_TYPES["k_true"])
+    p.add_argument("--noise", type=_TYPES["noise_sigma"], default=0.0)
+    p.add_argument("--density", type=_TYPES["density"], default=1.0)
+    p.add_argument("--seed", type=_TYPES["seed"], default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--emit-truth", action="store_true",
                    help="also write the ground-truth factors")

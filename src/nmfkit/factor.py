@@ -102,31 +102,27 @@ class RunTrace:
     factor_snapshots: list | None = None
 
 
-def basis_of(model: FactorModel) -> np.ndarray:
-    """The factor that multiplies H: W, or W S(theta) for nsnmf."""
-    if model.theta is not None:
-        return model.W @ nsnmf_smoothing(model.theta, model.W.shape[1])
-    return model.W
+def basis_of(w, theta) -> np.ndarray:
+    """W S(theta), which multiplies H in nsnmf, or W when theta is None."""
+    if theta is not None:
+        return w @ nsnmf_smoothing(theta, w.shape[1])
+    return w
 
 
 def reconstruct(model: FactorModel) -> np.ndarray:
     """Model reconstruction of V: W H, or W S(theta) H for nsnmf."""
-    return basis_of(model) @ model.H
+    return basis_of(model.W, model.theta) @ model.H
 
 
-def objective(v, model: FactorModel, kind: str, wh=None) -> float:
-    """Euclidean (squared Frobenius residual) or KL objective of a model.
-
-    The KL form is `kl_div`, whose clamp at machine epsilon keeps the value
-    finite when the factors have exact zeros.
-    ``wh`` is `product_on(v, basis_of(model), model.H)`, formed if not given.
-    """
+def objective(v, basis, h, kind: str, wh=None) -> float:
+    """Euclidean (`residual_sq`) or KL (`kl_div`) objective of the model
+    `basis` @ H, `basis` being `basis_of(W, theta)`; ``wh`` is
+    `product_on(v, basis, h)`, formed if not given."""
     v = as_matrix(v)
-    basis = basis_of(model)
     if kind == "euclidean":
-        return residual_sq(v, basis, model.H, wh)
+        return residual_sq(v, basis, h, wh)
     if kind == "kl":
-        return kl_div(v, basis, model.H, wh)
+        return kl_div(v, basis, h, wh)
     raise ParamError("unknown objective kind %r" % (kind,))
 
 
@@ -480,10 +476,10 @@ def _run(v, config: FactorConfig, eta: float):
             return bmf_objective(v, w, h, lam_of(max(it, 1)))
         if kind == "penalized":
             return snmf_objective(v, w, h, method[-1], eta, params.beta)
-        model = FactorModel(w, h, method, theta, it, 0.0)
+        basis = basis_of(w, theta)
         if kind == "kl":
-            wh = product_on(v, basis_of(model), h)
-        return objective(v, model, kind, wh)
+            wh = product_on(v, basis, h)
+        return objective(v, basis, h, kind, wh)
 
     obj_prev = current_objective(0)
     trace_obj = []

@@ -51,7 +51,7 @@ def _reals(x, what) -> np.ndarray:
     raise ParamError("%s must be real numbers (bool, integer or float)" % what)
 
 
-def _dims(shape):
+def dims(shape):
     """(rows, cols) of `shape`: two integers of at least 1, else ShapeError."""
     try:
         rows, cols = map(integer, shape)
@@ -81,10 +81,10 @@ def coo_order(i, j, rows, cols):
 class DataMatrix:
     """Immutable dense or CSR matrix.
 
-    Construct through :meth:`dense`, :meth:`csr` or :meth:`from_coo`, which
-    check the shape (`_dims`), or :meth:`with_values` for new values in an
-    existing layout.  The instance owns its buffers; they are marked
-    read-only after validation.
+    Construct through :meth:`dense` or :meth:`from_coo` (the one CSR
+    constructor), which check the shape (`dims`), or :meth:`with_values`
+    for new values in an existing layout.  The instance owns its buffers;
+    they are marked read-only after validation.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data", "_dense_data",
@@ -104,31 +104,13 @@ class DataMatrix:
     def dense(cls, values) -> "DataMatrix":
         arr = _reals(values, "matrix entries").astype(np.float64, order="C")
         arr.flags.writeable = False
-        return cls(*_dims(arr.shape), dense_data=arr)
-
-    @classmethod
-    def csr(cls, indptr, indices, data, shape) -> "DataMatrix":
-        """Build through :meth:`from_coo`, refusing unsorted rows."""
-        rows, _ = _dims(shape)
-        indptr, indices = _index_array(indptr), _index_array(indices)
-        if indptr.shape[0] != rows + 1:
-            raise ParamError("csr: indptr must have length rows + 1")
-        counts = np.diff(indptr)
-        if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(counts < 0):
-            raise ParamError("csr: indptr must rise from 0 to nnz")
-        entry_rows = np.repeat(np.arange(rows), counts)
-        out = cls.from_coo(entry_rows, indices, data, shape)
-        moved = np.flatnonzero(out.indices != indices)
-        if moved.size:  # the first such entry lies in the first such row
-            raise ParamError("csr: column indices must be strictly "
-                             "increasing in row %d" % entry_rows[moved[0]])
-        return out
+        return cls(*dims(arr.shape), dense_data=arr)
 
     @classmethod
     def from_coo(cls, rows_idx, cols_idx, values, shape) -> "DataMatrix":
         """Build CSR from 0-based coordinate triplets in any order; an
         entry out of bounds or a repeated (i, j) raises ParamError."""
-        rows, cols = _dims(shape)
+        rows, cols = dims(shape)
         rows_idx, cols_idx = _index_array(rows_idx), _index_array(cols_idx)
         values = np.asarray(_reals(values, "coordinate values"), np.float64)
         if not rows_idx.shape == cols_idx.shape == values.shape:

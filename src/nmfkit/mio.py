@@ -24,12 +24,13 @@ import json
 import os
 import stat
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (IoError, ParamError, ParseError, ShapeError,
-                     check_number, out_of_memory)
+                     check_number, check_settings, out_of_memory, setting)
 from .matcore import (DataMatrix, RngStream, as_matrix, coo_order,
                       first_true)
 
@@ -313,6 +314,17 @@ def write_text(path, parts) -> None:
         raise IoError("cannot write %s: %s" % (path, exc)) from exc
 
 
+@dataclass
+class SynthArgs:
+    """`synth`'s arguments with their ranges, read by `nmfkit synth` too."""
+    m: int = setting("[1, inf)")
+    n: int = setting("[1, inf)")
+    k_true: int = setting("[1, inf)")
+    noise_sigma: float = setting("[0, inf)")
+    density: float = setting("(0, 1]")
+    seed: int = setting("[0, inf)")
+
+
 def synth(m: int, n: int, k_true: int, noise_sigma: float = 0.0,
           density: float = 1.0, seed: int = 0):
     """Seeded block-structured nonnegative test data.
@@ -324,11 +336,9 @@ def synth(m: int, n: int, k_true: int, noise_sigma: float = 0.0,
     noise is added before clipping at zero, then entries below the
     (1 - density) quantile are zeroed.  Returns (V, W_true, H_true).
     """
-    m = check_number("m", m, int, "[1, inf)")
-    n = check_number("n", n, int, "[1, inf)")
+    check_settings(SynthArgs(m, n, k_true, noise_sigma, density, seed),
+                   SynthArgs, "synth")
     check_number("k_true", k_true, int, "[1, %d]" % min(m, n))
-    check_number("noise_sigma", noise_sigma, float, "[0, inf)")
-    check_number("density", density, float, "(0, 1]")
     rng = RngStream(seed)
     row_block = (np.arange(m) * k_true) // m
     col_block = (np.arange(n) * k_true) // n

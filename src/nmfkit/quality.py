@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, MetricError, RankError, out_of_memory
+from .errors import (DegenerateError, MetricError, RankError, ShapeError,
+                     out_of_memory)
 from .factor import FactorModel, basis_of, objective
-from .matcore import as_matrix, frobenius_sq, kl_div, product_on
+from .matcore import as_matrix, dims, frobenius_sq, kl_div, product_on
 
 
 @dataclass
@@ -33,10 +34,9 @@ class FitSummary:
     sparseness_h: float
 
 
-def rss(v, model: FactorModel, wh=None) -> float:
-    """Residual sum of squares against the model reconstruction; ``wh`` is
-    `product_on(v, basis_of(model), model.H)`, formed if not given."""
-    return objective(v, model, "euclidean", wh)
+def rss(v, model: FactorModel) -> float:
+    """Residual sum of squares against the model reconstruction."""
+    return objective(v, basis_of(model.W, model.theta), model.H, "euclidean")
 
 
 def evar(v, model: FactorModel) -> float:
@@ -53,16 +53,11 @@ def _evar_of_rss(v, r: float) -> float:
 
 
 def distance(v, model: FactorModel, metric: str) -> float:
-    """Euclidean distance sqrt(rss) or generalized KL divergence.
-
-    The KL form is `kl_div`, whose clamp at machine epsilon keeps the
-    measure finite when converged factors contain exact zeros.
-    """
-    v = as_matrix(v)
+    """Euclidean distance sqrt(rss) or generalized KL divergence `kl_div`."""
     if metric == "euclidean":
         return math.sqrt(rss(v, model))
     if metric == "kl":
-        return kl_div(v, basis_of(model), model.H)
+        return kl_div(v, basis_of(model.W, model.theta), model.H)
     raise MetricError("unknown metric %r (expected euclidean or kl)" % (metric,))
 
 
@@ -103,7 +98,7 @@ def feature_scores(w) -> np.ndarray:
     score 0 with a warning.
     """
     w = np.asarray(w, dtype=np.float64)
-    k = w.shape[1]
+    k = dims(w.shape)[1]
     if k < 2:
         raise RankError("feature scores need rank >= 2")
     sums = w.sum(axis=1)
@@ -129,10 +124,12 @@ def connectivity(h) -> np.ndarray:
 
 
 def consensus(hs) -> np.ndarray:
-    """Mean connectivity matrix over a list of H factors, one per run."""
+    """Mean connectivity matrix of the runs' H factors (one column count)."""
     if len(hs) == 0:
         raise DegenerateError("consensus needs at least one run")
-    n = np.shape(hs[0])[1]
+    n, *more = {dims(np.shape(h))[1] for h in hs}
+    if more:
+        raise ShapeError("consensus needs H factors of one column count")
     # a 0 start, not np.zeros, made rank sweeps 40% slower under glibc malloc
     return sum((connectivity(h) for h in hs), np.zeros((n, n))) / len(hs)
 
@@ -189,7 +186,10 @@ def cophenetic(consensus_matrix) -> float:
     if the two distance sets coincide and 0.0 otherwise.
     """
     c = np.asarray(consensus_matrix, dtype=np.float64)
-    n = c.shape[0]
+    n, cols = dims(c.shape)
+    if cols != n:
+        raise ShapeError("cophenetic needs a square consensus matrix, not %r"
+                         % (c.shape,))
     if n < 3:
         raise DegenerateError("cophenetic correlation needs n >= 3 samples")
     dist = 1.0 - c
@@ -209,9 +209,9 @@ def fit_summary(v, model: FactorModel, sparseness_axis: str = "columns") -> FitS
     v = as_matrix(v)
     with out_of_memory("measuring a rank-%d fit of a %dx%d matrix"
                        % (model.W.shape[1], v.rows, v.cols)):
-        basis = basis_of(model)
+        basis = basis_of(model.W, model.theta)
         wh = product_on(v, basis, model.H)  # shared by both distances
-        r = rss(v, model, wh)
+        r = objective(v, basis, model.H, "euclidean", wh)
         sp_w, sp_h = sparseness(model, axis=sparseness_axis)
         return FitSummary(
             rss=r,

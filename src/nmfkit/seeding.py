@@ -154,19 +154,16 @@ def seed_fixed(w0, h0, m, n, k):
     """Validate and copy user-provided factors."""
     if w0 is None or h0 is None:
         raise SeedError("fixed seeding requires both W0 and H0")
-    w0 = np.asarray(w0, dtype=np.float64)
-    h0 = np.asarray(h0, dtype=np.float64)
-    if w0.shape != (m, k):
-        raise SeedError("W0 shape %s does not match (%d, %d)"
-                        % (w0.shape, m, k))
-    if h0.shape != (k, n):
-        raise SeedError("H0 shape %s does not match (%d, %d)"
-                        % (h0.shape, k, n))
+    w0, h0 = (np.array(x, dtype=np.float64, order="C") for x in (w0, h0))
+    for name, x, shape in (("W0", w0, (m, k)), ("H0", h0, (k, n))):
+        if x.shape != shape:
+            raise SeedError("%s shape %s does not match (%d, %d)"
+                            % (name, x.shape, *shape))
     if not (np.all(np.isfinite(w0)) and np.all(np.isfinite(h0))):
         raise SeedError("fixed factors must be finite")
     if (w0.size and w0.min() < 0) or (h0.size and h0.min() < 0):
         raise SeedError("fixed factors must be nonnegative")
-    return w0.copy(), h0.copy()
+    return w0, h0
 
 
 def seed_factors(v, k: int, spec: SeedSpec, rng: RngStream):

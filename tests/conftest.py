@@ -31,7 +31,8 @@ def random_nonneg(rng, m, n, low=0.0, high=1.0):
 
 
 def to_csr(dense) -> DataMatrix:
-    """Independent dense -> CSR conversion used as a test-side oracle."""
+    """Dense -> CSR: the nonzero entries, listed by a plain loop in
+    row-major order, built by `DataMatrix.from_coo`."""
     dense = np.asarray(dense, dtype=np.float64)
     m, n = dense.shape
     rows, cols, vals = [], [], []
@@ -41,11 +42,7 @@ def to_csr(dense) -> DataMatrix:
                 rows.append(i)
                 cols.append(j)
                 vals.append(dense[i, j])
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    for r in rows:
-        indptr[r + 1] += 1
-    indptr = np.cumsum(indptr)
-    return DataMatrix.csr(indptr, cols, vals, (m, n))
+    return DataMatrix.from_coo(rows, cols, vals, (m, n))
 
 
 def sparsify(rng, m, n, density=0.2, high=1.0):

@@ -9,7 +9,7 @@ import nmfkit.cli as cli_mod
 import nmfkit.matcore as matcore_mod
 from nmfkit.cli import main
 from nmfkit.factor import FactorConfig, ParamSet
-from nmfkit.mio import read_matrix
+from nmfkit.mio import SynthArgs, read_matrix
 
 
 @pytest.fixture
@@ -135,6 +135,10 @@ class TestExitCodes:
         ("--ranks", "5..2", "expects A..B or a comma list of positive "
                             "integers, got '5..2'"),
         ("--ranks", "0,2", "expects A..B or a comma list"),
+        ("--ranks", "2..x", "expects A..B or a comma list of positive "
+                            "integers, got '2..x'"),
+        ("--ranks", "two", "expects A..B or a comma list of positive "
+                           "integers, got 'two'"),
     ])
     def test_malformed_param_or_ranks_is_usage_error(
             self, tmp_path, small_matrix, capsys, flag, value, message):
@@ -452,6 +456,23 @@ class TestSynthAndConvert:
         out = tmp_path / "V.mtx"
         assert main(["synth", "--rows", "4", "--cols", "4", "--rank", "2",
                      "--density", density, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--rows", "m", "0"), ("--cols", "n", "0"), ("--rank", "k_true", "0"),
+        ("--noise", "noise_sigma", "-1"), ("--density", "density", "0"),
+        ("--seed", "seed", "-1")])
+    def test_synth_flags_take_synth_ranges(self, tmp_path, capsys, flag,
+                                           field, value):
+        # each flag refuses what `synth` refuses, naming synth's range
+        interval = SynthArgs.__dataclass_fields__[field].metadata["range"]
+        sizes = {"--rows": "4", "--cols": "4", "--rank": "2", flag: value}
+        out = tmp_path / "V.mtx"
+        code = main(["synth", *[x for kv in sizes.items() for x in kv],
+                     "--output", str(out)])
+        assert code == 2
+        assert ("synth: error: argument %s: must be finite and lie in %s"
+                % (flag, interval)) in capsys.readouterr().err
         assert not out.exists()
 
     def test_synth_rank_too_large_is_runtime_error(self, tmp_path):

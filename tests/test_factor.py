@@ -9,8 +9,8 @@ from conftest import make_rng, random_nonneg, to_csr
 from nmfkit.errors import (DomainError, MethodError, OutOfMemoryError,
                            ParamError, RankError)
 from nmfkit.factor import (METHODS, AlternatingState, FactorConfig,
-                           FactorModel, ParamSet, bd_gibbs_step, bmf_iterate,
-                           bmf_objective, factorize,
+                           FactorModel, ParamSet, basis_of, bd_gibbs_step,
+                           bmf_iterate, bmf_objective, factorize,
                            icm_step, lsnmf_iterate, mu_eu_step, mu_kl_step,
                            nsnmf_iterate, nsnmf_smoothing, objective,
                            reconstruct, sample_rectified_normal, snmf_iterate,
@@ -100,7 +100,7 @@ class TestNsnmf:
                                    np.ones(k), rtol=1e-15)
 
     def test_smoothing_is_built_and_checked_once(self):
-        # factor._run asks for S(theta) three times per nsnmf iteration
+        # factor._run asks for S(theta) twice per nsnmf iteration
         s = nsnmf_smoothing(0.3, 4)
         assert nsnmf_smoothing(0.3, 4) is s and not s.flags.writeable
 
@@ -141,6 +141,22 @@ class TestNsnmf:
             assert cur <= prev + 1e-10
             prev = cur
             assert w.min() >= 0 and h.min() >= 0
+
+    def test_one_basis_per_objective(self, monkeypatch):
+        # each objective evaluation forms W S(theta) once: 1 + 10 in a
+        # 10-iteration run (twice per evaluation, 22, at the parent)
+        calls, basis_of = [], factor_mod.basis_of
+
+        def counted(*args):
+            calls.append(args)
+            return basis_of(*args)
+
+        monkeypatch.setattr(factor_mod, "basis_of", counted)
+        cfg = FactorConfig(method="nsnmf", rank=2, max_iter=10,
+                           min_residual_delta=0.0, conn_change=0)
+        model, _ = factorize(random_nonneg(make_rng(6), 6, 5, low=0.05), cfg)
+        assert model.n_iter == 10
+        assert len(calls) == 11
 
 
 class TestLsnmf:
@@ -354,14 +370,13 @@ class TestObjective:
     def test_exact_model_zero(self):
         rng = make_rng(16)
         v, w0, h0 = exact_instance(rng)
-        model = FactorModel(w0, h0, "nmf-eu", None, 1, 0.0)
-        assert objective(v, model, "euclidean") == pytest.approx(0.0, abs=1e-22)
-        assert objective(v, model, "kl") == pytest.approx(0.0, abs=1e-10)
+        assert (objective(v, w0, h0, "euclidean")
+                == pytest.approx(0.0, abs=1e-22))
+        assert objective(v, w0, h0, "kl") == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_euclidean(self):
-        model = FactorModel(np.array([[1.0]]), np.array([[1.0]]),
-                            "nmf-eu", None, 1, 0.0)
-        assert objective(np.array([[2.0]]), model, "euclidean") == 1.0
+        one = np.array([[1.0]])
+        assert objective(np.array([[2.0]]), one, one, "euclidean") == 1.0
 
     def test_nsnmf_reconstruction_uses_smoothing(self):
         rng = make_rng(17)
@@ -373,10 +388,9 @@ class TestObjective:
         np.testing.assert_allclose(reconstruct(model), expected, rtol=1e-12)
 
     def test_unknown_kind(self):
-        model = FactorModel(np.ones((1, 1)), np.ones((1, 1)),
-                            "nmf-eu", None, 1, 0.0)
         with pytest.raises(ParamError):
-            objective(np.ones((1, 1)), model, "cosine")
+            objective(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                      "cosine")
 
 
 def connectivity_config(w0, h0, conn_change, **settings):
@@ -624,15 +638,14 @@ class TestFactorize:
 
         w, h = seed_factors(v, 3, cfg.seed, RngStream(5))
         theta = cfg.params.theta if method == "nsnmf" else None
-        prev = objective(v, FactorModel(w, h, method, theta, 0, 0.0), "kl")
+        prev = objective(v, basis_of(w, theta), h, "kl")
         objs = []
         for it in range(1, cfg.max_iter + 1):
             if method == "nmf-kl":
                 w, h = mu_kl_step(v, w, h)
             else:
                 w, h = nsnmf_iterate(v, w, h, theta)
-            objs.append(objective(v, FactorModel(w, h, method, theta, it,
-                                                 0.0), "kl"))
+            objs.append(objective(v, basis_of(w, theta), h, "kl"))
             if (prev - objs[-1]) / abs(prev) < cfg.min_residual_delta:
                 break
             prev = objs[-1]
@@ -709,7 +722,7 @@ class TestFactorize:
                            max_iter=15, min_residual_delta=0.0,
                            conn_change=0, track_error=True, master_seed=6)
         ms, trace = factorize(sparse, cfg)
-        objective(sparse, ms, "kl")
+        objective(sparse, basis_of(ms.W, ms.theta), ms.H, "kl")
         assert sparse._dense_data is None
         md, dense_trace = factorize(dense, cfg)
         np.testing.assert_allclose(ms.W, md.W, atol=1e-9)

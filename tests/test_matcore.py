@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_rng, matmul_oracle, sparsify, to_csr
 import nmfkit.matcore as matcore_mod
 from nmfkit.errors import (DomainError, NmfkitError, OutOfMemoryError,
-                           ParamError, ShapeError)
+                           ParamError, ShapeError, out_of_memory)
 from nmfkit.factor import FactorConfig, factorize
 from nmfkit.matcore import (EPS, DataMatrix, RngStream, _pattern_of,
                             derive_seed, frobenius_sq, kl_div, matmul,
@@ -31,26 +31,14 @@ class TestDataMatrix:
         assert not m.is_sparse
         np.testing.assert_array_equal(m.to_dense(), [[1, 2], [3, 4]])
 
-    def test_csr_valid(self):
-        m = DataMatrix.csr([0, 1, 2], [1, 0], [5.0, 7.0], (2, 2))
+    def test_from_coo_valid(self):
+        m = DataMatrix.from_coo([0, 1], [1, 0], [5.0, 7.0], (2, 2))
         np.testing.assert_array_equal(m.to_dense(), [[0, 5], [7, 0]])
         assert m.nnz == 2
 
-    def test_csr_rejects_decreasing_indptr(self):
+    def test_from_coo_rejects_out_of_bounds(self):
         with pytest.raises(ParamError):
-            DataMatrix.csr([0, 2, 1], [0, 1], [1.0, 1.0], (2, 2))
-
-    def test_csr_rejects_unsorted_columns(self):
-        with pytest.raises(ParamError):
-            DataMatrix.csr([0, 2], [1, 0], [1.0, 1.0], (1, 2))
-
-    def test_csr_rejects_duplicate_columns(self):
-        with pytest.raises(ParamError):
-            DataMatrix.csr([0, 2], [1, 1], [1.0, 1.0], (1, 2))
-
-    def test_csr_rejects_out_of_bounds(self):
-        with pytest.raises(ParamError):
-            DataMatrix.csr([0, 1], [3], [1.0], (1, 2))
+            DataMatrix.from_coo([0], [3], [1.0], (1, 2))
 
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ParamError):
@@ -61,7 +49,7 @@ class TestDataMatrix:
             DataMatrix.dense(np.zeros((0, 3)))
 
     def test_dense_view_out_of_memory_is_typed(self, monkeypatch):
-        m = DataMatrix.csr([0, 1, 2], [1, 0], [5.0, 7.0], (2, 2))
+        m = DataMatrix.from_coo([0, 1], [1, 0], [5.0, 7.0], (2, 2))
 
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -76,20 +64,20 @@ class TestDataMatrix:
         assert m.is_sparse  # nothing was cached
         np.testing.assert_array_equal(m.dense_view(), [[0, 5], [7, 0]])
 
+    def test_out_of_memory_passes_other_value_errors_on(self):
+        # only numpy's "array is too big" ValueError means memory
+        err = ValueError("operands could not be broadcast together")
+        with pytest.raises(ValueError) as info:
+            with out_of_memory("testing"):
+                raise err
+        assert info.value is err
+
     def test_csr_stays_sparse_after_dense_view(self):
-        m = DataMatrix.csr([0, 1, 2], [1, 0], [5.0, 7.0], (2, 2))
+        m = DataMatrix.from_coo([0, 1], [1, 0], [5.0, 7.0], (2, 2))
         m.dense_view()
         assert m.is_sparse
         assert m.nnz == 2
         assert repr(m) == "DataMatrix(2x2, csr)"
-
-    def test_csr_order_error_names_the_row(self):
-        # row 0 empty, row 1 valid, row 2 out of order; a row boundary
-        # between a high and a low column index is not a violation
-        with pytest.raises(ParamError, match="row 2"):
-            DataMatrix.csr([0, 0, 2, 4], [1, 3, 2, 0], [1.0] * 4, (3, 4))
-        ok = DataMatrix.csr([0, 0, 2, 4], [1, 3, 0, 2], [1.0] * 4, (3, 4))
-        assert ok.nnz == 4
 
     def test_from_coo_matches_oracle(self):
         rng = make_rng(5)
@@ -100,10 +88,11 @@ class TestDataMatrix:
         order = rng.permutation(r.size)
         built = DataMatrix.from_coo(r[order], c[order], dense[r, c][order],
                                     dense.shape)
-        oracle = to_csr(dense)
-        np.testing.assert_array_equal(built.indptr, oracle.indptr)
-        np.testing.assert_array_equal(built.indices, oracle.indices)
-        np.testing.assert_array_equal(built.data, oracle.data)
+        # np.nonzero lists the entries in row-major order
+        indptr = np.append(0, np.cumsum(np.count_nonzero(dense, axis=1)))
+        np.testing.assert_array_equal(built.indptr, indptr)
+        np.testing.assert_array_equal(built.indices, c)
+        np.testing.assert_array_equal(built.data, dense[r, c])
         with pytest.raises(ParamError):
             DataMatrix.from_coo([0, 2], [0, 0], [1.0, 1.0], (2, 2))
 
@@ -124,26 +113,16 @@ class TestDataMatrix:
         with pytest.raises(ParamError):
             DataMatrix.from_coo(rows, cols, values, (1, 1))
 
-    @pytest.mark.parametrize("indptr, indices", [([0, 1], [0.7]),
-                                                 ([0, 0.5], [])],
-                             ids=["fractional-index", "fractional-indptr"])
-    def test_csr_refuses_fractional_indices(self, indptr, indices):
-        with pytest.raises(ParamError):
-            DataMatrix.csr(indptr, indices, [1.0] * len(indices), (1, 1))
-
     @pytest.mark.parametrize("shape", [
         (-1, 2), (2, -1), (0, 2), (2.0, 2), (2, 2.5), (2,), (2, 2, 2), 2,
         None, (True, 2)], ids=["negative-rows", "negative-cols", "zero-rows",
                                "float-rows", "fractional-cols", "one-tuple",
                                "three-tuple", "int", "none", "bool-rows"])
-    @pytest.mark.parametrize("build", ["from_coo", "csr"])
-    def test_bad_shape_is_shape_error(self, build, shape):
-        # checked first: (-1, 2) raised ValueError from bincount (from_coo)
-        # or IndexError (csr), a float TypeError, a 1-tuple ValueError;
-        # (True, 2) built a 1x2 matrix
-        first = [] if build == "from_coo" else [0]
+    def test_bad_shape_is_shape_error(self, shape):
+        # checked first: (-1, 2) raised ValueError from bincount, a float
+        # TypeError, a 1-tuple ValueError; (True, 2) built a 1x2 matrix
         with pytest.raises(ShapeError, match="two integers of at least 1"):
-            getattr(DataMatrix, build)(first, [], [], shape)
+            DataMatrix.from_coo([], [], [], shape)
 
     def test_from_coo_names_the_first_bad_entry(self):
         with pytest.raises(ParamError, match=r"^coordinate \(1, 0\) "

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +17,8 @@ from nmfkit.errors import (DomainError, IoError, OutOfMemoryError, ParamError,
                            ParseError, ShapeError)
 from nmfkit.factor import FactorConfig, factorize
 from nmfkit.matcore import DataMatrix
-from nmfkit.mio import read_matrix, synth, write_matrix, write_summary
+from nmfkit.mio import (read_matrix, synth, write_matrix, write_summary,
+                        write_text)
 
 
 class TestReadMtx:
@@ -153,6 +155,12 @@ class TestReadCsv:
         path.write_text("1,inf\n")
         with pytest.raises(ParseError):
             read_matrix(path)
+
+    def test_unknown_format_is_param_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n")
+        with pytest.raises(ParamError, match="^unknown matrix format 'tsv'$"):
+            read_matrix(path, "tsv")
 
     def test_unknown_extension_needs_format(self, tmp_path):
         path = tmp_path / "m.dat"
@@ -698,6 +706,12 @@ class TestSummary:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ParamError):
             write_summary(self.doc(rss=float("nan")), tmp_path / "s.json")
+
+    def test_write_to_a_directory_is_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="^cannot write %s: "
+                           % re.escape(str(tmp_path))):
+            write_text(tmp_path, ["x"])
+        assert tmp_path.is_dir()
 
     def test_nested_non_finite_rejected(self, tmp_path):
         with pytest.raises(ParamError, match="'ranks'"):

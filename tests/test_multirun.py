@@ -136,6 +136,7 @@ class TestRankSweep:
         # swept rank 1, and dropped 2.0 as a repeat of 2
         ([True, 2], 2, RankError, "^candidate ranks must be integers"),
         ([2, 2.0], 2, RankError, "^candidate ranks must be integers"),
+        ([], 2, RankError, "^rank sweep needs at least one candidate rank$"),
         # a TypeError at the parent
         ([2], 2.5, ParamError, "^runs_per_rank must be of type int, got 2.5$"),
         ([2], 0, ParamError, r"^runs_per_rank must be finite and lie in "
@@ -199,7 +200,7 @@ class TestRankSweep:
         calls = []
 
         def counted(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             return objective(*args)
 
         monkeypatch.setattr(quality_mod, "objective", counted)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_rng, random_nonneg, sparsify, to_csr
 from nmfkit.errors import (DegenerateError, MetricError, OutOfMemoryError,
-                           RankError)
+                           RankError, ShapeError)
 from nmfkit.factor import FactorModel
 from nmfkit.matcore import EPS, DataMatrix, frobenius_sq
 from nmfkit.quality import (connectivity, consensus, cophenetic, dispersion,
@@ -197,6 +197,12 @@ class TestFeatureScores:
         with pytest.raises(RankError):
             feature_scores(np.ones((3, 1)))
 
+    def test_one_d_input_is_shape_error(self):
+        # an IndexError at the parent
+        with pytest.raises(ShapeError, match=r"two integers of at least 1 "
+                           r"\(one row and column\), not \(3,\)$"):
+            feature_scores(np.ones(3))
+
     def test_zero_row_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -258,6 +264,27 @@ class TestConsensus:
     def test_cophenetic_needs_three_samples(self):
         with pytest.raises(DegenerateError):
             cophenetic(np.eye(2))
+
+    def test_non_square_cophenetic_is_shape_error(self):
+        # numpy's ValueError at the parent
+        with pytest.raises(ShapeError, match="^cophenetic needs a square "
+                           r"consensus matrix, not \(3, 4\)$"):
+            cophenetic(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("cols", [4, 1], ids=["broadcast-error",
+                                                  "broadcast-silently"])
+    def test_unequal_column_counts_are_shape_error(self, cols):
+        # numpy's broadcast ValueError at the parent; one column broadcast
+        # into a wrong consensus without an error
+        with pytest.raises(ShapeError, match="^consensus needs H factors of "
+                           "one column count$"):
+            consensus([np.ones((2, 3)), np.ones((2, cols))])
+
+    def test_one_d_factor_is_shape_error(self):
+        # an IndexError at the parent
+        with pytest.raises(ShapeError, match=r"two integers of at least 1 "
+                           r"\(one row and column\), not \(3,\)$"):
+            consensus([np.ones(3)])
 
     def test_empty_list_rejected(self):
         with pytest.raises(DegenerateError):
@@ -373,20 +400,40 @@ class TestFitSummary:
         rng = make_rng(10)
         v = random_nonneg(rng, 7, 5)
         m = model_of(rng.uniform(size=(7, 2)), rng.uniform(size=(2, 5)))
-        calls = []
+        calls, objective = [], quality_mod.objective
 
-        def counted_rss(*args):
-            calls.append(args)
-            return rss(*args)
+        def counted(*args):
+            calls.append(args[3])
+            return objective(*args)
 
-        monkeypatch.setattr(quality_mod, "rss", counted_rss)
+        monkeypatch.setattr(quality_mod, "objective", counted)
         s = fit_summary(v, m)
-        assert len(calls) == 1
+        assert calls == ["euclidean"]
         monkeypatch.undo()
         assert s.rss == rss(v, m)
         assert s.evar == evar(v, m)
         with pytest.raises(DegenerateError):
             fit_summary(np.zeros((7, 5)), m)
+
+    def test_one_basis_per_nsnmf_summary(self, monkeypatch):
+        import nmfkit.factor as factor_mod
+        import nmfkit.quality as quality_mod
+        rng = make_rng(14)
+        v = random_nonneg(rng, 7, 5)
+        model = FactorModel(rng.uniform(size=(7, 3)), rng.uniform(size=(3, 5)),
+                            "nsnmf", 0.4, 1, 0.0)
+        want = rss(v, model), distance(v, model, "kl")
+        calls, basis_of = [], factor_mod.basis_of
+
+        def counted(*args):
+            calls.append(args)
+            return basis_of(*args)
+
+        for mod in (factor_mod, quality_mod):
+            monkeypatch.setattr(mod, "basis_of", counted)
+        s = fit_summary(v, model)
+        assert len(calls) == 1  # 2 at the parent: fit_summary's and rss's
+        assert (s.rss, s.dist_kl) == want
 
     def test_one_product_per_csr_summary(self, monkeypatch):
         import nmfkit.matcore as matcore_mod

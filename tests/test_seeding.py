@@ -206,6 +206,12 @@ class TestSeedNndsvd:
         w, h = seed_nndsvd(v, 2, "nndsvd", None)
         np.testing.assert_allclose(w @ h, v, atol=1e-10)
 
+    def test_zero_singular_value_leaves_its_pair_zero(self):
+        # a rank-1 V: sigma_3 is exactly 0, so the third triplet is skipped
+        v = np.outer([1.0, 2.0, 1.0, 0.0], [1.0, 2.0, 3.0])
+        w, h = seed_nndsvd(v, 3, "nndsvd", None)
+        assert not w[:, 2].any() and not h[2, :].any()
+
     def test_bad_variant(self):
         # the error kind seed_factors gives for an unknown kind
         with pytest.raises(SeedError, match="^unknown nndsvd variant "
@@ -229,6 +235,16 @@ class TestSeedFixed:
     def test_wrong_rank_rejected(self):
         with pytest.raises(SeedError):
             seed_fixed(np.ones((2, 2)), np.ones((2, 2)), 2, 2, 1)
+
+    def test_wrong_h0_shape_rejected(self):
+        with pytest.raises(SeedError, match=r"^H0 shape \(1, 3\) does not "
+                                            r"match \(1, 2\)$"):
+            seed_fixed(np.ones((2, 1)), np.ones((1, 3)), 2, 2, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        with pytest.raises(SeedError, match="^fixed factors must be finite$"):
+            seed_fixed(np.ones((2, 1)), np.array([[1.0, bad]]), 2, 2, 1)
 
     def test_missing_factors(self):
         with pytest.raises(SeedError):
